@@ -1,29 +1,20 @@
-"""Tolerance conventions for distance comparisons.
+"""The absolute tolerance for distance comparisons, and two helpers.
 
-All distance comparisons in the library go through these helpers with an
-absolute tolerance of 1e-9; ties are broken toward the smaller radius.
+Distances compare with an absolute tolerance of 1e-9; ties are broken toward
+the smaller radius.  Most modules compare against ``TOL`` inline
+(``d < r - TOL`` for open balls, ``d <= r + TOL`` for closed ones); ``le`` and
+``ge`` spell out the non-strict comparisons.
 """
 from __future__ import annotations
 
 TOL = 1e-9
 
 
-def lt(a: float, b: float, tol: float = TOL) -> bool:
-    """a < b, where values within tol count as equal."""
-    return a < b - tol
-
-
 def le(a: float, b: float, tol: float = TOL) -> bool:
+    """a <= b, where values within tol count as equal."""
     return a <= b + tol
 
 
-def gt(a: float, b: float, tol: float = TOL) -> bool:
-    return a > b + tol
-
-
 def ge(a: float, b: float, tol: float = TOL) -> bool:
+    """a >= b, where values within tol count as equal."""
     return a >= b - tol
-
-
-def close(a: float, b: float, tol: float = TOL) -> bool:
-    return abs(a - b) <= tol

@@ -44,7 +44,7 @@ from .measures import (
     pullback_measure,
 )
 from .modulus import CurveFamily, modulus
-from .pullback import bld_bdd_transfer_check, factorize, verify_projection
+from .pullback import ResourceCapExceeded, bld_bdd_transfer_check, factorize, verify_projection
 from .spaces import Curve, ValidationError, load_space, space_from_json, space_to_json
 
 SCHEMA_VERSION = 1
@@ -126,26 +126,20 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     t0 = time.time()
     os.makedirs(args.out, exist_ok=True)
-    written = []
-    if args.kind == "cycle":
-        sp = gen_cycle(args.n)
-        written.append(_dump_space(args.out, "space.json", sp))
-    elif args.kind == "grid":
-        sp = gen_grid(args.w, args.h)
-        written.append(_dump_space(args.out, "space.json", sp))
-    elif args.kind == "polar_grid":
-        sp = gen_polar_grid(args.levels, args.sectors, args.r0, args.r1)
-        written.append(_dump_space(args.out, "space.json", sp))
-    elif args.kind == "winding":
-        vm = gen_winding(args.k, args.levels, args.sectors)
-        written += _dump_map(args.out, vm)
+    if args.kind == "winding":
+        written = _dump_map(args.out, gen_winding(args.k, args.levels, args.sectors))
     elif args.kind == "cycle_cover":
-        vm = gen_cycle_cover(args.n, args.m)
-        written += _dump_map(args.out, vm)
-    elif args.kind == "pullback_space":
-        vm = load_map(args.map)
-        sp = gen_pullback_space(vm, cap=args.exact_cap)
-        written.append(_dump_space(args.out, "space.json", sp))
+        written = _dump_map(args.out, gen_cycle_cover(args.n, args.m))
+    else:
+        if args.kind == "cycle":
+            sp = gen_cycle(args.n)
+        elif args.kind == "grid":
+            sp = gen_grid(args.w, args.h)
+        elif args.kind == "polar_grid":
+            sp = gen_polar_grid(args.levels, args.sectors, args.r0, args.r1)
+        else:  # pullback_space
+            sp = gen_pullback_space(load_map(args.map), cap=args.exact_cap)
+        written = [_dump_space(args.out, "space.json", sp)]
     report = _report(args, [], {"written": [os.path.basename(w) for w in written]}, [], t0)
     _write_report(args, report, "gen.json")
     return EXIT_OK
@@ -174,13 +168,7 @@ def _dump_map(out: str, vm) -> list[str]:
 def cmd_pullback(args) -> int:
     t0 = time.time()
     vm = load_map(args.map)
-    try:
-        fact = factorize(vm, metric=args.metric, cap=args.exact_cap)
-    except ValueError as exc:
-        if "too large" in str(exc):
-            print(f"{exc}", file=sys.stderr)
-            return EXIT_RESOURCE
-        raise
+    fact = factorize(vm, metric=args.metric, cap=args.exact_cap)
     cert = verify_projection(fact)
     transfer = bld_bdd_transfer_check(fact, seed=args.seed)
     mat = fact.pullback_space.dist
@@ -287,13 +275,7 @@ def cmd_verify(args) -> int:
 def cmd_embed(args) -> int:
     t0 = time.time()
     vm = load_map(args.map)
-    try:
-        res = embed(vm, cap=args.exact_cap)
-    except ValueError as exc:
-        if "too large" in str(exc):
-            print(f"{exc}", file=sys.stderr)
-            return EXIT_RESOURCE
-        raise
+    res = embed(vm, cap=args.exact_cap)
     rows = [[v, res.image[v], *[float(c) for c in res.coords[v]]] for v in sorted(res.coords)]
     width = max((len(r) - 2 for r in rows), default=0)
     _write_csv(args, "coordinates.csv", ["vertex", "image", *[f"c{k}" for k in range(width)]], rows)
@@ -333,8 +315,6 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=0,
-                       help="reserved; computation is sequential and deterministic")
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--exact-cap", type=int, default=256,
                        help="vertex cap for the exact pullback solver")
@@ -409,6 +389,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
+    except ResourceCapExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -19,6 +19,8 @@ from .spaces import (
     Continuum,
     Space,
     ValidationError,
+    _component_of,
+    _idx,
     ball,
     load_space,
 )
@@ -98,7 +100,7 @@ class VertexMap:
         return self.target.ids[int(self.f[self.source.i(vid)])]
 
     def fiber(self, y: int | str) -> frozenset[int]:
-        yi = self.target.i(y) if isinstance(y, str) else int(y)
+        yi = _idx(self.target, y)
         return frozenset(int(k) for k in np.nonzero(self.f == yi)[0])
 
     def image_dist(self, i: int, j: int) -> float:
@@ -134,7 +136,7 @@ def _preimage(vm: VertexMap, targets: frozenset[int]) -> frozenset[int]:
 
 def u_component(vm: VertexMap, x: int | str, r: float) -> Continuum:
     """U(x, f, r): the x-component of f^-1(B(f(x), r))."""
-    xi = vm.source.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(vm.source, x)
     if r <= 0:
         raise ValueError("u_component requires r > 0")
     b = ball(vm.target, vm.target.ids[int(vm.f[xi])], r)
@@ -143,23 +145,9 @@ def u_component(vm: VertexMap, x: int | str, r: float) -> Continuum:
     return Continuum(vm.source, comp)
 
 
-def _component_of(space: Space, members: frozenset[int], x: int) -> frozenset[int]:
-    if x not in members:
-        raise AssertionError("vertex not in the set it should anchor")
-    comp = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for w, _e in space.adj[v]:
-            if w in members and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp)
-
-
 def local_index(vm: VertexMap, x: int | str) -> int:
     """i(x, f): min over candidate radii of the multiplicity of U(x, f, r)."""
-    xi = vm.source.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(vm.source, x)
     radii = vm.target.ball_radii(int(vm.f[xi]))
     if not radii:  # single-vertex target
         return max_multiplicity(vm)
@@ -179,7 +167,7 @@ def branch_set(vm: VertexMap) -> frozenset[int]:
 
 def openness_certificate(vm: VertexMap, x: int | str, r: float) -> tuple[bool, dict]:
     """True iff f(U(x, f, r)) equals B(f(x), r) as sets; witness on failure."""
-    xi = vm.source.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(vm.source, x)
     b = ball(vm.target, vm.target.ids[int(vm.f[xi])], r)
     img = frozenset(int(vm.f[v]) for v in u_component(vm, xi, r).members)
     if img == b:
@@ -200,7 +188,7 @@ class NormalRadiusTable:
     degenerate: frozenset[str]
 
     def radius_at(self, x: int | str) -> float:
-        xi = self.vm.source.i(x) if isinstance(x, str) else int(x)
+        xi = _idx(self.vm.source, x)
         return self.radius[self.vm.target.ids[int(self.vm.f[xi])]]
 
 
@@ -222,7 +210,7 @@ def normal_radius(vm: VertexMap, x: int | str) -> tuple[float, dict]:
     candidate radius flagged "degenerate".
     """
     src, tgt = vm.source, vm.target
-    xi = src.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(src, x)
     z = int(vm.f[xi])
     m_z = _fiber_separation(vm, z) / 6.0
     radii = tgt.ball_radii(z)
@@ -317,7 +305,7 @@ def decompose_fibers(vm: VertexMap, domain: Iterable[int] | Iterable[str], n: in
     deterministic (vertex id) order.
     """
     src = vm.source
-    d_set = frozenset(src.i(v) if isinstance(v, str) else int(v) for v in domain)
+    d_set = frozenset(_idx(src, v) for v in domain)
     f_d = frozenset(int(vm.f[v]) for v in d_set)
     bd_img = frozenset(int(vm.f[v]) for v in _boundary(src, d_set))
     if f_d != frozenset(range(vm.target.n)) and not bd_img <= _boundary(vm.target, f_d):

@@ -17,9 +17,9 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, normal_radius, u_component
-from .pullback import enumerate_paths
-from .spaces import Space, ball_closed, diameter
+from .covering import VertexMap, _boundary, normal_radius, u_component
+from .pullback import _worst_distortion, enumerate_paths
+from .spaces import Space, _idx, ball_closed, diameter
 
 __all__ = [
     "DilatationProfile",
@@ -46,6 +46,13 @@ class DilatationProfile:
     flags: tuple[str, ...] = ()
 
 
+def _profile(vertex: str, rows: list, cap: float, flags: list[str]) -> DilatationProfile:
+    hs = [h for _r, _L, _l, h in rows]
+    return DilatationProfile(vertex=vertex, rows=tuple(rows), h_sup=max(hs) if hs else math.inf,
+                             h_inf=min(hs) if hs else math.inf, cap=float(cap),
+                             flags=tuple(flags))
+
+
 def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = None,
                        restrict: Iterable[int] | None = None) -> DilatationProfile:
     """H_f(x, r) = L_f(x, r) / l_f(x, r) over candidate radii, with L over the
@@ -57,7 +64,7 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
     covering map.  ``restrict`` overrides the neighborhood explicitly.
     """
     src = vm.source
-    xi = src.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(src, x)
     if len(src.adj[xi]) == 0:
         raise ValueError("isolated vertex")
     flags: list[str] = []
@@ -73,9 +80,7 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
             radius_cap = math.inf
     others = np.array(sorted(set(restrict) - {xi}), dtype=int)
     if others.size == 0:
-        return DilatationProfile(vertex=src.ids[xi], rows=(), h_sup=math.inf,
-                                 h_inf=math.inf, cap=float(radius_cap),
-                                 flags=tuple(flags + ["empty shell"]))
+        return _profile(src.ids[xi], [], radius_cap, flags + ["empty shell"])
     drow = src.dist[xi, others]
     irow = vm.target.dist[int(vm.f[xi]), vm.f[others]]
     rows = []
@@ -88,13 +93,7 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
         small_l = float(irow[far].min())
         h = big_l / small_l if small_l > 0 else math.inf
         rows.append((r, big_l, small_l, float(h)))
-    hs = [h for _r, _L, _l, h in rows]
-    return DilatationProfile(
-        vertex=src.ids[xi], rows=tuple(rows),
-        h_sup=max(hs) if hs else math.inf,
-        h_inf=min(hs) if hs else math.inf,
-        cap=float(radius_cap), flags=tuple(flags),
-    )
+    return _profile(src.ids[xi], rows, radius_cap, flags)
 
 
 def inverse_dilatation_profile(vm: VertexMap, x: int | str,
@@ -102,7 +101,7 @@ def inverse_dilatation_profile(vm: VertexMap, x: int | str,
     """H*_f(x, s) from the boundary of U(x, f, s): L*, l* are the max/min
     source distances from x to vertices of U having a neighbor outside it."""
     src = vm.source
-    xi = src.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(src, x)
     flags: list[str] = []
     nr, rec = normal_radius(vm, xi)
     if scale_cap is None:
@@ -115,7 +114,7 @@ def inverse_dilatation_profile(vm: VertexMap, x: int | str,
     rows = []
     for s in radii:
         u = u_component(vm, xi, s).members
-        boundary = [v for v in u if any(w not in u for w, _e in src.adj[v])]
+        boundary = _boundary(src, u)
         if not boundary:
             flags.append(f"empty boundary at s={s}")
             continue
@@ -123,13 +122,7 @@ def inverse_dilatation_profile(vm: VertexMap, x: int | str,
         big_l, small_l = max(dists), min(dists)
         h = big_l / small_l if small_l > 0 else math.inf
         rows.append((float(s), big_l, small_l, h))
-    hs = [h for _s, _L, _l, h in rows]
-    return DilatationProfile(
-        vertex=src.ids[xi], rows=tuple(rows),
-        h_sup=max(hs) if hs else math.inf,
-        h_inf=min(hs) if hs else math.inf,
-        cap=float(scale_cap), flags=tuple(flags),
-    )
+    return _profile(src.ids[xi], rows, scale_cap, flags)
 
 
 def lipschitz_field(vm: VertexMap) -> dict[str, tuple[float, float]]:
@@ -147,61 +140,32 @@ def lipschitz_field(vm: VertexMap) -> dict[str, tuple[float, float]]:
     return out
 
 
-def _image_variation(vm: VertexMap, path: tuple[int, ...]) -> float:
-    return float(sum(vm.image_dist(a, b) for a, b in zip(path, path[1:])))
+def _passed(worst: float, bound: float | None) -> bool:
+    return worst <= bound + TOL if bound is not None else math.isfinite(worst)
 
 
-def _curve_sample(space: Space, budget: int, seed: int, n_random: int):
-    rng = np.random.default_rng(seed)
-    return enumerate_paths(space, budget, rng=rng, n_random=n_random)
+def _distortion_certificate(kind: str, vm: VertexMap, bound: float | None, curve_budget: int,
+                            seed: int, n_random: int) -> Certificate:
+    src = vm.source
+    paths = enumerate_paths(src, curve_budget, rng=np.random.default_rng(seed), n_random=n_random)
+    worst, path = _worst_distortion(vm, paths, kind)
+    witness = None if path is None else [src.ids[v] for v in path]
+    return Certificate(kind, _passed(worst, bound), constant=worst, witness=witness,
+                       details={"paths": len(paths), "bound": bound, "seed": seed})
 
 
 def bld_verify(vm: VertexMap, bound: float | None = None, curve_budget: int = 4,
                seed: int = 0, n_random: int = 100) -> Certificate:
     """Bounded length distortion over all simple paths up to the edge budget
     plus a seeded random sample: L^-1 l(a) <= l(f∘a) <= L l(a)."""
-    src = vm.source
-    paths = _curve_sample(src, curve_budget, seed, n_random)
-    worst = 1.0
-    witness = None
-    for path in paths:
-        ls = float(sum(src.edge_length(src.edge_index[(a, b)])
-                       for a, b in zip(path, path[1:])))
-        li = _image_variation(vm, path)
-        if li <= TOL:
-            worst = math.inf
-            witness = [src.ids[v] for v in path]
-            break
-        r = max(li / ls, ls / li)
-        if r > worst:
-            worst = r
-            witness = [src.ids[v] for v in path]
-    passed = worst <= bound + TOL if bound is not None else math.isfinite(worst)
-    return Certificate("bld", passed, constant=worst, witness=witness,
-                       details={"paths": len(paths), "bound": bound, "seed": seed})
+    return _distortion_certificate("bld", vm, bound, curve_budget, seed, n_random)
 
 
 def bdd_verify(vm: VertexMap, bound: float | None = None, curve_budget: int = 4,
                seed: int = 0, n_random: int = 100) -> Certificate:
-    """Bounded diameter distortion over the same curve sample."""
-    src = vm.source
-    paths = _curve_sample(src, curve_budget, seed, n_random)
-    worst = 1.0
-    witness = None
-    for path in paths:
-        ds = diameter(src, frozenset(path))
-        di = diameter(vm.target, frozenset(int(vm.f[v]) for v in path))
-        if di <= TOL:
-            worst = math.inf
-            witness = [src.ids[v] for v in path]
-            break
-        r = max(di / ds, ds / di)
-        if r > worst:
-            worst = r
-            witness = [src.ids[v] for v in path]
-    passed = worst <= bound + TOL if bound is not None else math.isfinite(worst)
-    return Certificate("bdd", passed, constant=worst, witness=witness,
-                       details={"paths": len(paths), "bound": bound, "seed": seed})
+    """Bounded diameter distortion over the same curve sample; a path whose
+    source or image diameter is zero has infinite distortion."""
+    return _distortion_certificate("bdd", vm, bound, curve_budget, seed, n_random)
 
 
 def lq_verify(vm: VertexMap, bound: float | None = None) -> Certificate:
@@ -230,8 +194,7 @@ def lq_verify(vm: VertexMap, bound: float | None = None) -> Certificate:
             if cand > worst:
                 worst = cand
                 witness = (src.ids[x], r)
-    passed = worst <= bound + TOL if bound is not None else math.isfinite(worst)
-    return Certificate("lq", passed, constant=worst, witness=witness,
+    return Certificate("lq", _passed(worst, bound), constant=worst, witness=witness,
                        details={"bound": bound})
 
 

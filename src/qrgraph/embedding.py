@@ -20,9 +20,9 @@ import numpy as np
 
 from ._tol import TOL
 from .certificates import Certificate
-from .covering import VertexMap, max_multiplicity
+from .covering import VertexMap, max_multiplicity, u_component
 from .pullback import pullback_metric_exact
-from .spaces import Space, ValidationError, _components_idx
+from .spaces import Space, ValidationError, _components_idx, _idx, _with_metric
 
 __all__ = [
     "EmbeddingPlan",
@@ -47,10 +47,7 @@ def _bt_space(space: Space, cap: int) -> Space:
     if space.is_path_metric:
         return space
     ident = VertexMap(source=space, target=space, f=np.arange(space.n), check=False)
-    mat = pullback_metric_exact(ident, cap=cap)
-    verts = list(zip(space.ids, (float(m) for m in space.mass)))
-    edges = [(space.ids[i], space.ids[j], ln) for i, j, ln in space.edges]
-    return Space.build(verts, edges, mat)
+    return _with_metric(space, pullback_metric_exact(ident, cap=cap))
 
 
 def normalize_for_embedding(vm: VertexMap, cap: int = 256) -> VertexMap:
@@ -58,11 +55,7 @@ def normalize_for_embedding(vm: VertexMap, cap: int = 256) -> VertexMap:
     metric, making it 1-BDD; masses are untouched."""
     target_bt = _bt_space(vm.target, cap)
     vm_bt = VertexMap(source=vm.source, target=target_bt, f=vm.f.copy(), check=False)
-    mat = pullback_metric_exact(vm_bt, cap=cap)
-    src = vm.source
-    verts = list(zip(src.ids, (float(m) for m in src.mass)))
-    edges = [(src.ids[i], src.ids[j], ln) for i, j, ln in src.edges]
-    source_n = Space.build(verts, edges, mat)
+    source_n = _with_metric(vm.source, pullback_metric_exact(vm_bt, cap=cap))
     return VertexMap(source=source_n, target=target_bt, f=vm.f.copy(), check=False)
 
 
@@ -156,21 +149,6 @@ def color_net(vm: VertexMap, k: int, net: Sequence[str] | None = None,
     return [sorted(c) for c in classes], used
 
 
-def _two_u(vm: VertexMap, x: int, r: float) -> frozenset[int]:
-    members = frozenset(
-        int(v) for v in np.nonzero(vm.target.dist[int(vm.f[x]), vm.f] < r - TOL)[0]
-    )
-    comp = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for w, _e in vm.source.adj[v]:
-            if w in members and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp)
-
-
 def assign_labels(vm: VertexMap, y_net: str, r_k: float) -> tuple[dict[str, int], list[frozenset[int]]]:
     """Labels 1..N on the fiber over a net point: equal labels iff the
     inflated neighborhoods 2U coincide; component order by smallest member
@@ -179,7 +157,7 @@ def assign_labels(vm: VertexMap, y_net: str, r_k: float) -> tuple[dict[str, int]
     sets: list[frozenset[int]] = []
     labels: dict[str, int] = {}
     for x in fib:
-        u2 = _two_u(vm, x, 2.0 * r_k)
+        u2 = u_component(vm, x, 2.0 * r_k).members
         try:
             lab = next(i for i, s in enumerate(sets) if s == u2) + 1
         except StopIteration:
@@ -230,7 +208,7 @@ def phi(plan: EmbeddingPlan, x: int | str) -> np.ndarray:
     fibers, label(V) * min(d*(x, complement of V), R^k)."""
     vm = plan.vm
     src = vm.source
-    xi = src.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(src, x)
     out = np.zeros(plan.c_d * max(0, plan.n_mult - 1))
     for k in range(1, plan.n_mult):
         for j, cls in enumerate(plan.classes[k]):

@@ -11,7 +11,7 @@ import numpy as np
 from ._tol import le
 from .certificates import Certificate
 from .covering import VertexMap, normal_radius, u_component
-from .spaces import ball
+from .spaces import _idx, _vertex_array, ball
 
 __all__ = [
     "PullbackMeasure",
@@ -27,22 +27,6 @@ __all__ = [
 ]
 
 
-def _nu_array(vm: VertexMap, nu: Mapping[str, float] | np.ndarray | None) -> np.ndarray:
-    if nu is None:
-        return np.asarray(vm.target.mass, dtype=float)
-    if isinstance(nu, np.ndarray):
-        return nu.astype(float)
-    return np.array([float(nu[v]) for v in vm.target.ids], dtype=float)
-
-
-def _mu_array(vm: VertexMap, mu: Mapping[str, float] | np.ndarray | None) -> np.ndarray:
-    if mu is None:
-        return np.asarray(vm.source.mass, dtype=float)
-    if isinstance(mu, np.ndarray):
-        return mu.astype(float)
-    return np.array([float(mu[v]) for v in vm.source.ids], dtype=float)
-
-
 @dataclass(frozen=True)
 class PullbackMeasure:
     """f*nu: per-vertex mass nu(f(x)); total = sum_y N(y,f,X) nu(y)."""
@@ -54,7 +38,7 @@ class PullbackMeasure:
         self.values.setflags(write=False)
 
     def of(self, members) -> float:
-        idx = [self.vm.source.i(v) if isinstance(v, str) else int(v) for v in members]
+        idx = [_idx(self.vm.source, v) for v in members]
         return float(self.values[idx].sum()) if idx else 0.0
 
     def total(self) -> float:
@@ -62,7 +46,7 @@ class PullbackMeasure:
 
 
 def pullback_measure(vm: VertexMap, nu: Mapping[str, float] | np.ndarray | None = None) -> PullbackMeasure:
-    nu_arr = _nu_array(vm, nu)
+    nu_arr = _vertex_array(vm.target, nu)
     return PullbackMeasure(vm=vm, values=nu_arr[vm.f].copy())
 
 
@@ -73,8 +57,8 @@ def change_of_variables_check(
     rel_tol: float = 1e-12,
 ) -> Certificate:
     """sum_x rho(x) f*nu(x)  ==  sum_y [sum_{x in f^-1(y)} rho(x)] nu(y)."""
-    nu_arr = _nu_array(vm, nu)
-    rho_arr = _mu_array(vm, rho)
+    nu_arr = _vertex_array(vm.target, nu)
+    rho_arr = _vertex_array(vm.source, rho)
     lhs = float((rho_arr * nu_arr[vm.f]).sum())
     fiber_sums = np.zeros(vm.target.n)
     np.add.at(fiber_sums, vm.f, rho_arr)
@@ -108,26 +92,25 @@ def jacobians(
     mu: Mapping[str, float] | np.ndarray | None = None,
     nu: Mapping[str, float] | np.ndarray | None = None,
 ) -> JacobianField:
-    mu_arr = _mu_array(vm, mu)
-    nu_img = _nu_array(vm, nu)[vm.f]
-    jac = np.zeros(vm.source.n)
-    jac_inv = np.zeros(vm.source.n)
-    inf_j: set[str] = set()
-    inf_ji: set[str] = set()
-    for k in range(vm.source.n):
-        m, v = mu_arr[k], nu_img[k]
-        if m > 0:
-            jac[k] = v / m
-        elif v > 0:
-            jac[k] = np.inf
-            inf_j.add(vm.source.ids[k])
-        if v > 0:
-            jac_inv[k] = m / v
-        elif m > 0:
-            jac_inv[k] = np.inf
-            inf_ji.add(vm.source.ids[k])
-    return JacobianField(vm=vm, jac=jac, jac_inv=jac_inv,
-                         infinite=frozenset(inf_j), infinite_inv=frozenset(inf_ji))
+    mu_arr = _vertex_array(vm.source, mu)
+    nu_img = _vertex_array(vm.target, nu)[vm.f]
+    jac, inf_j = _ratio_field(nu_img, mu_arr, vm.source.ids)
+    jac_inv, inf_ji = _ratio_field(mu_arr, nu_img, vm.source.ids)
+    return JacobianField(vm=vm, jac=jac, jac_inv=jac_inv, infinite=inf_j, infinite_inv=inf_ji)
+
+
+def _ratio_field(num: np.ndarray, den: np.ndarray, ids) -> tuple[np.ndarray, frozenset[str]]:
+    """num / den per vertex: 0 where both vanish, infinite (and listed) where
+    only the denominator does."""
+    out = np.zeros(len(num))
+    infinite: set[str] = set()
+    for k in range(len(num)):
+        if den[k] > 0:
+            out[k] = num[k] / den[k]
+        elif num[k] > 0:
+            out[k] = np.inf
+            infinite.add(ids[k])
+    return out, frozenset(infinite)
 
 
 def area_inequality_check(
@@ -139,9 +122,9 @@ def area_inequality_check(
 ) -> Certificate:
     """sum_x rho J_f mu <= sum_y [sum_{x in f^-1(y)} rho(x)] nu(y), with
     equality (for every rho) exactly when Condition N holds."""
-    mu_arr = _mu_array(vm, mu)
-    nu_arr = _nu_array(vm, nu)
-    rho_arr = _mu_array(vm, rho)
+    mu_arr = _vertex_array(vm.source, mu)
+    nu_arr = _vertex_array(vm.target, nu)
+    rho_arr = _vertex_array(vm.source, rho)
     jf = jacobians(vm, mu_arr, nu_arr)
     lhs_terms = np.where(mu_arr > 0, rho_arr * np.where(np.isfinite(jf.jac), jf.jac, 0.0) * mu_arr, 0.0)
     lhs = float(lhs_terms.sum())
@@ -162,10 +145,10 @@ def area_inequality_check(
 
 def essential_index(vm: VertexMap, x: int | str, nu=None, r: float | None = None) -> float:
     """f*nu(U(x, f, r)) / nu(B(f(x), r))."""
-    xi = vm.source.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(vm.source, x)
     if r is None or r <= 0:
         raise ValueError("essential_index needs r > 0")
-    nu_arr = _nu_array(vm, nu)
+    nu_arr = _vertex_array(vm.target, nu)
     u = sorted(u_component(vm, xi, r).members)
     b = sorted(ball(vm.target, vm.target.ids[int(vm.f[xi])], r))
     denom = float(nu_arr[b].sum())
@@ -179,7 +162,7 @@ def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
                             cap: float | None = None) -> tuple[float, float, list[tuple[float, float]]]:
     """Max of the essential index over candidate radii not exceeding the cap
     (default: the normal radius at f(x)); returns (value, cap, per-radius)."""
-    xi = vm.source.i(x) if isinstance(x, str) else int(x)
+    xi = _idx(vm.source, x)
     if cap is None:
         cap, _rec = normal_radius(vm, xi)
     radii = [r for r in vm.target.ball_radii(int(vm.f[xi])) if le(r, cap)]
@@ -191,20 +174,22 @@ def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
 def condition_N_check(vm: VertexMap, mu=None, nu=None) -> Certificate:
     """Condition N: null sets map to null sets; at vertex level, no mu-null
     vertex may have a nu-positive image (f*nu << mu)."""
-    mu_arr = _mu_array(vm, mu)
-    nu_img = _nu_array(vm, nu)[vm.f]
-    bad = np.nonzero((mu_arr <= 0) & (nu_img > 0))[0]
-    witness = vm.source.ids[int(bad[0])] if bad.size else None
-    return Certificate("condition_N", bad.size == 0, witness=witness,
-                       details={"violations": [vm.source.ids[int(b)] for b in bad]})
+    return _null_set_certificate("condition_N", vm, mu, nu, inverse=False)
 
 
 def condition_N_inverse_check(vm: VertexMap, mu=None, nu=None) -> Certificate:
     """Condition N^-1: positive sets map to positive sets; no mu-positive
     vertex may map to a nu-null vertex."""
-    mu_arr = _mu_array(vm, mu)
-    nu_img = _nu_array(vm, nu)[vm.f]
-    bad = np.nonzero((mu_arr > 0) & (nu_img <= 0))[0]
+    return _null_set_certificate("condition_N_inverse", vm, mu, nu, inverse=True)
+
+
+def _null_set_certificate(name: str, vm: VertexMap, mu, nu, inverse: bool) -> Certificate:
+    """Violations are vertices null on one side only: mu-null with a
+    nu-positive image, or with ``inverse`` the other way round."""
+    mu_arr = _vertex_array(vm.source, mu)
+    nu_img = _vertex_array(vm.target, nu)[vm.f]
+    bad_mask = (mu_arr > 0) & (nu_img <= 0) if inverse else (mu_arr <= 0) & (nu_img > 0)
+    bad = np.nonzero(bad_mask)[0]
     witness = vm.source.ids[int(bad[0])] if bad.size else None
-    return Certificate("condition_N_inverse", bad.size == 0, witness=witness,
+    return Certificate(name, bad.size == 0, witness=witness,
                        details={"violations": [vm.source.ids[int(b)] for b in bad]})

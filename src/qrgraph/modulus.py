@@ -31,7 +31,7 @@ from ._tol import TOL
 from .certificates import Certificate
 from .covering import VertexMap, branch_set
 from .measures import jacobians
-from .spaces import Curve, Space, ValidationError, diameter
+from .spaces import Curve, Space, ValidationError, _idx, _vertex_array, diameter
 
 __all__ = [
     "CurveFamily",
@@ -65,8 +65,8 @@ class CurveFamily:
 
     @classmethod
     def connecting(cls, space: Space, e_set, f_set, within=None) -> "CurveFamily":
-        e_idx = frozenset(space.i(v) if isinstance(v, str) else int(v) for v in e_set)
-        f_idx = frozenset(space.i(v) if isinstance(v, str) else int(v) for v in f_set)
+        e_idx = frozenset(_idx(space, v) for v in e_set)
+        f_idx = frozenset(_idx(space, v) for v in f_set)
         if not e_idx or not f_idx:
             raise ValidationError(["connecting family needs nonempty E and F"])
         if e_idx & f_idx:
@@ -74,7 +74,7 @@ class CurveFamily:
         if within is None:
             w_idx = frozenset(range(space.n))
         else:
-            w_idx = frozenset(space.i(v) if isinstance(v, str) else int(v) for v in within)
+            w_idx = frozenset(_idx(space, v) for v in within)
         return cls(space=space, connect=(e_idx, f_idx, w_idx | e_idx | f_idx))
 
 
@@ -124,12 +124,7 @@ def edge_measures(space: Space, weight=None, edge_weight=None) -> np.ndarray:
                 float(edge_weight[(space.ids[i], space.ids[j])]) for i, j, _ln in space.edges
             ])
         return w_e * np.array([ln for _i, _j, ln in space.edges])
-    if weight is None:
-        w = np.asarray(space.mass, dtype=float)
-    elif isinstance(weight, np.ndarray):
-        w = weight.astype(float)
-    else:
-        w = np.array([float(weight[v]) for v in space.ids], dtype=float)
+    w = _vertex_array(space, weight)
     return np.array([(w[i] + w[j]) / 2.0 for i, j, _ln in space.edges])
 
 
@@ -138,11 +133,17 @@ def edge_measures(space: Space, weight=None, edge_weight=None) -> np.ndarray:
 Row = tuple[np.ndarray, np.ndarray]  # (edge indices, coefficients)
 
 
-def _row_of_curve(space: Space, verts: Sequence[int]) -> Row:
+def _curve_row(space: Space, verts: Sequence[int], f: np.ndarray | None = None) -> Row:
+    """Constraint row of a vertex path over the edges of ``space``; given a
+    vertex map ``f`` into ``space``, of the image path f ∘ gamma, with
+    collapsed steps contributing nothing."""
+    if f is not None:
+        verts = [int(f[v]) for v in verts]
     coeffs: dict[int, float] = {}
     for a, b in zip(verts, verts[1:]):
-        e = space.edge_index[(a, b)]
-        coeffs[e] = coeffs.get(e, 0.0) + space.edge_length(e)
+        if a != b:
+            e = space.edge_index[(a, b)]
+            coeffs[e] = coeffs.get(e, 0.0) + space.edge_length(e)
     idx = np.array(sorted(coeffs), dtype=int)
     return idx, np.array([coeffs[e] for e in idx])
 
@@ -178,11 +179,18 @@ def _dijkstra_curve(space: Space, cost: np.ndarray, e_set: frozenset[int],
     return None
 
 
-def _family_oracle(family: CurveFamily) -> Callable[[np.ndarray], tuple[float, Row | None]]:
-    """Returns oracle(rho) -> (min line integral, row achieving it)."""
-    space = family.space
+def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
+                   ) -> Callable[[np.ndarray], tuple[float, Row | None]]:
+    """Returns oracle(rho) -> (min line integral, row achieving it).
+
+    Given a vertex map, the oracle is for the image family f(Gamma): the
+    variables live on target edges and the most-violated curve is found on
+    the source graph with pulled-back edge costs.
+    """
+    src = family.space
+    tgt, f = (src, np.arange(src.n)) if vm is None else (vm.target, vm.f)
     if family.curves is not None:
-        rows = [_row_of_curve(space, c.vertices) for c in family.curves]
+        rows = [_curve_row(tgt, c.vertices, f) for c in family.curves]
 
         def scan(rho: np.ndarray):
             vals = [float(rho[idx] @ coef) if idx.size else 0.0 for idx, coef in rows]
@@ -190,54 +198,14 @@ def _family_oracle(family: CurveFamily) -> Callable[[np.ndarray], tuple[float, R
             return vals[k], rows[k]
 
         return scan
-    e_set, f_set, carrier = family.connect
-    lens = np.array([ln for _i, _j, ln in space.edges])
-
-    def search(rho: np.ndarray):
-        hit = _dijkstra_curve(space, rho * lens, e_set, f_set, carrier)
-        if hit is None:
-            return math.inf, None
-        val, path = hit
-        return val, _row_of_curve(space, path)
-
-    return search
-
-
-def _image_row(vm: VertexMap, verts: Sequence[int]) -> Row:
-    """Constraint row of the image curve f ∘ gamma, over target edges."""
-    tgt = vm.target
-    coeffs: dict[int, float] = {}
-    for a, b in zip(verts, verts[1:]):
-        fa, fb = int(vm.f[a]), int(vm.f[b])
-        if fa == fb:
-            continue
-        e = tgt.edge_index[(fa, fb)]
-        coeffs[e] = coeffs.get(e, 0.0) + tgt.edge_length(e)
-    idx = np.array(sorted(coeffs), dtype=int)
-    return idx, np.array([coeffs[e] for e in idx])
-
-
-def _image_family_oracle(vm: VertexMap, family: CurveFamily):
-    """Oracle for f(Gamma): variables on target edges, most-violated curve
-    found on the source graph with pulled-back edge costs."""
-    src, tgt = vm.source, vm.target
     pull_e = np.full(len(src.edges), -1, dtype=int)
     pull_len = np.zeros(len(src.edges))
     for e, (i, j, _ln) in enumerate(src.edges):
-        fi, fj = int(vm.f[i]), int(vm.f[j])
+        fi, fj = int(f[i]), int(f[j])
         if fi != fj:
             te = tgt.edge_index[(fi, fj)]
             pull_e[e] = te
             pull_len[e] = tgt.edge_length(te)
-    if family.curves is not None:
-        rows = [_image_row(vm, c.vertices) for c in family.curves]
-
-        def scan(rho: np.ndarray):
-            vals = [float(rho[idx] @ coef) if idx.size else 0.0 for idx, coef in rows]
-            k = int(np.argmin(vals))
-            return vals[k], rows[k]
-
-        return scan
     e_set, f_set, carrier = family.connect
 
     def search(rho: np.ndarray):
@@ -246,7 +214,7 @@ def _image_family_oracle(vm: VertexMap, family: CurveFamily):
         if hit is None:
             return math.inf, None
         val, path = hit
-        return val, _image_row(vm, path)
+        return val, _curve_row(tgt, path, f)
 
     return search
 
@@ -462,7 +430,7 @@ def modulus_bruteforce(family: CurveFamily, p: float = 2.0, weight=None) -> floa
     space = family.space
     if len(family.curves) > 50:
         raise ValueError("bruteforce oracle limited to 50 curves")
-    rows = [_row_of_curve(space, c.vertices) for c in family.curves]
+    rows = [_curve_row(space, c.vertices) for c in family.curves]
     if any(idx.size == 0 for idx, _c in rows):
         return math.inf
     support = sorted({int(e) for idx, _c in rows for e in idx})
@@ -560,8 +528,8 @@ def loewner_profile(space: Space, pairs: Sequence[tuple[Iterable, Iterable]],
     """(zeta, Mod_Q) rows for pairs of continua: zeta = dist(E,F)/min diam."""
     out = []
     for e_set, f_set in pairs:
-        e_idx = sorted(space.i(v) if isinstance(v, str) else int(v) for v in e_set)
-        f_idx = sorted(space.i(v) if isinstance(v, str) else int(v) for v in f_set)
+        e_idx = sorted(_idx(space, v) for v in e_set)
+        f_idx = sorted(_idx(space, v) for v in f_set)
         de = diameter(space, e_idx)
         df = diameter(space, f_idx)
         gap = float(space.dist[np.ix_(e_idx, f_idx)].min())
@@ -575,10 +543,7 @@ def loewner_profile(space: Space, pairs: Sequence[tuple[Iterable, Iterable]],
 def minimal_upper_gradient(space: Space, u: Mapping[str, float] | np.ndarray) -> Density:
     """g_e = |u(a) - u(b)| / len_e: the pointwise-minimal edge density with
     |u(end) - u(start)| <= int_gamma g ds for every curve."""
-    if isinstance(u, np.ndarray):
-        uv = u.astype(float)
-    else:
-        uv = np.array([float(u[v]) for v in space.ids])
+    uv = _vertex_array(space, u)
     vals = np.array([abs(uv[i] - uv[j]) / ln for i, j, ln in space.edges])
     return Density(space=space, values=vals)
 
@@ -590,56 +555,53 @@ def ko_certificate(vm: VertexMap, families: Sequence[CurveFamily], q: float = 2.
                    nu=None, tol: float = 1e-6) -> Certificate:
     """K_O-inequality constant: max over sampled families of
     Mod_Q(Gamma) / Mod_Q(f(Gamma); N(y,f,Omega0) nu)."""
-    tgt = vm.target
-    nu_arr = np.asarray(tgt.mass, dtype=float) if nu is None else (
-        nu.astype(float) if isinstance(nu, np.ndarray)
-        else np.array([float(nu[v]) for v in tgt.ids]))
-    rows = []
-    worst = 0.0
-    witness = None
-    for k, fam in enumerate(families):
+    nu_arr = _vertex_array(vm.target, nu)
+
+    def weight(fam: CurveFamily) -> np.ndarray:
         carrier = fam.connect[2] if fam.connect is not None else frozenset(
             v for c in fam.curves for v in c.vertices)
-        counts = np.zeros(tgt.n)
+        counts = np.zeros(vm.target.n)
         for v in carrier:
             counts[int(vm.f[v])] += 1.0
-        weight = counts * nu_arr
-        src_mod = modulus(fam, p=q, tol=tol)
-        img_val, img_gap, img_flags = _image_modulus(vm, fam, q, weight, tol)
-        ratio = _safe_ratio(src_mod.value, img_val)
-        rows.append({"family": k, "source": src_mod.value, "image_weighted": img_val,
-                     "ratio": ratio, "gaps": [src_mod.gap, img_gap],
-                     "flags": list(src_mod.flags) + list(img_flags)})
-        if ratio > worst:
-            worst = ratio
-            witness = k
-    return Certificate("ko_inequality", passed=math.isfinite(worst), constant=worst,
-                       witness=witness, details={"rows": rows, "q": q})
+        return counts * nu_arr
+
+    return _ratio_certificate("ko_inequality", vm, families, q, tol, weight,
+                              "image_weighted", image_over_source=False)
 
 
 def ki_certificate(vm: VertexMap, families: Sequence[CurveFamily], q: float = 2.0,
                    nu=None, tol: float = 1e-6) -> Certificate:
     """Poletsky constant: max over sampled families of Mod_Q(f(Gamma)) / Mod_Q(Gamma)."""
+    return _ratio_certificate("ki_inequality", vm, families, q, tol, lambda fam: None,
+                              "image", image_over_source=True)
+
+
+def _ratio_certificate(name: str, vm: VertexMap, families: Sequence[CurveFamily], q: float,
+                       tol: float, weight: Callable, image_key: str,
+                       image_over_source: bool) -> Certificate:
+    """Worst modulus ratio between each family and its image family, whose
+    modulus is taken under ``weight(family)``."""
     rows = []
     worst = 0.0
     witness = None
     for k, fam in enumerate(families):
         src_mod = modulus(fam, p=q, tol=tol)
-        img_val, img_gap, img_flags = _image_modulus(vm, fam, q, None, tol)
-        ratio = _safe_ratio(img_val, src_mod.value)
-        rows.append({"family": k, "source": src_mod.value, "image": img_val,
+        img_val, img_gap, img_flags = _image_modulus(vm, fam, q, weight(fam), tol)
+        ratio = (_safe_ratio(img_val, src_mod.value) if image_over_source
+                 else _safe_ratio(src_mod.value, img_val))
+        rows.append({"family": k, "source": src_mod.value, image_key: img_val,
                      "ratio": ratio, "gaps": [src_mod.gap, img_gap],
                      "flags": list(src_mod.flags) + list(img_flags)})
         if ratio > worst:
             worst = ratio
             witness = k
-    return Certificate("ki_inequality", passed=math.isfinite(worst), constant=worst,
+    return Certificate(name, passed=math.isfinite(worst), constant=worst,
                        witness=witness, details={"rows": rows, "q": q})
 
 
 def _image_modulus(vm: VertexMap, family: CurveFamily, q: float, weight, tol: float):
     m = edge_measures(vm.target, weight)
-    oracle = _image_family_oracle(vm, family)
+    oracle = _family_oracle(family, vm)
     _rho, value, gap, _iters, flags = _solve_program(m, q, oracle, tol, 100_000)
     return value, gap, flags
 
@@ -661,22 +623,23 @@ def vaisala_certificate(vm: VertexMap, gamma: Sequence[Curve], gamma_prime: Sequ
     traverse pairwise distinct source edges at every shared image-edge step.
     """
     src, tgt = vm.source, vm.target
+
+    def precondition(reason: str) -> Certificate:
+        return Certificate("vaisala", False, flags=("precondition",), details={"reason": reason})
+
     for j, lift_ids in enumerate(lifts):
         if len(lift_ids) != m:
-            return Certificate("vaisala", False, flags=("precondition",),
-                               details={"reason": f"curve {j} has {len(lift_ids)} lifts, expected {m}"})
+            return precondition(f"curve {j} has {len(lift_ids)} lifts, expected {m}")
         gp = gamma_prime[j].vertices
         offsets = []
         for li in lift_ids:
             lv = gamma[li].vertices
             img = tuple(int(vm.f[v]) for v in lv)
             if any(a == b for a, b in zip(img, img[1:])):
-                return Certificate("vaisala", False, flags=("precondition",),
-                                   details={"reason": f"lift {li} collapses an edge"})
+                return precondition(f"lift {li} collapses an edge")
             off = _subseq_offset(gp, img)
             if off is None:
-                return Certificate("vaisala", False, flags=("precondition",),
-                                   details={"reason": f"lift {li} image is not a subcurve of curve {j}"})
+                return precondition(f"lift {li} image is not a subcurve of curve {j}")
             offsets.append((li, off))
         for (la, oa), (lb, ob) in itertools.combinations(offsets, 2):
             va, vb = gamma[la].vertices, gamma[lb].vertices
@@ -686,9 +649,7 @@ def vaisala_certificate(vm: VertexMap, gamma: Sequence[Curve], gamma_prime: Sequ
                     ea = src.edge_index[(va[sa], va[sa + 1])]
                     eb = src.edge_index[(vb[sb], vb[sb + 1])]
                     if ea == eb:
-                        return Certificate(
-                            "vaisala", False, flags=("precondition",),
-                            details={"reason": f"lifts {la},{lb} share an edge at step {t}"})
+                        return precondition(f"lifts {la},{lb} share an edge at step {t}")
     mod_lift = modulus(CurveFamily.explicit(src, gamma), p=q, tol=tol)
     mod_img = modulus(CurveFamily.explicit(tgt, gamma_prime), p=q, tol=tol)
     ratio = _safe_ratio(m * mod_img.value, mod_lift.value)
@@ -712,9 +673,7 @@ def analytic_qr_constant(vm: VertexMap, mu=None, nu=None, q: float = 2.0,
     incident stretch d_Y(f(x), f(y))/len(x,y); K-hat = max over mu-positive
     vertices of grad^Q / J_f.  Vertices with J = 0 < grad give infinity."""
     src = vm.source
-    mu_arr = np.asarray(src.mass, dtype=float) if mu is None else (
-        mu.astype(float) if isinstance(mu, np.ndarray)
-        else np.array([float(mu[v]) for v in src.ids]))
+    mu_arr = _vertex_array(src, mu)
     jf = jacobians(vm, mu_arr, nu)
     grad = np.zeros(src.n)
     for v in range(src.n):

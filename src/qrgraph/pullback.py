@@ -8,15 +8,24 @@ inside that window.
 """
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
-
 import numpy as np
 
 from ._tol import TOL
 from .certificates import Certificate
 from .covering import VertexMap, u_component
-from .spaces import Space, ValidationError, ball, diameter
+from .spaces import (
+    Space,
+    ValidationError,
+    _components_idx,
+    _geodesic,
+    _minimax_path,
+    _path_length,
+    _with_metric,
+    ball,
+    diameter,
+)
 
 __all__ = [
     "PullbackBracket",
@@ -29,9 +38,14 @@ __all__ = [
     "length_metric",
     "bld_bdd_transfer_check",
     "enumerate_paths",
+    "ResourceCapExceeded",
 ]
 
 EXACT_CAP_DEFAULT = 14
+
+
+class ResourceCapExceeded(ValueError):
+    """Raised when an instance exceeds a solver's size cap."""
 
 
 @dataclass(frozen=True)
@@ -39,46 +53,17 @@ class PullbackBracket:
     lower: np.ndarray
     upper: np.ndarray
     exact: bool
-    oracle_used: bool
 
     def __post_init__(self):
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
 
 
-def _minimax_pair(vm: VertexMap, i: int, j: int, want_path: bool = False):
-    """Smallest D such that i, j lie in one component of the induced subgraph
-    {v : d_Y(f(v), f(i)) <= D and d_Y(f(v), f(j)) <= D}.
-
-    Equals the minimax over source paths of max_v of that key, found by a
-    Dijkstra-style search with max-relaxation; deterministic tie-breaking.
-    """
-    src = vm.source
+def _image_key(vm: VertexMap, i: int, j: int) -> np.ndarray:
+    """Per source vertex v: max(d_Y(f(v), f(i)), d_Y(f(v), f(j))).  The
+    minimax of this key over source paths i -> j is the bracket's lower value."""
     dY = vm.target.dist
-    fi, fj = int(vm.f[i]), int(vm.f[j])
-    key = np.maximum(dY[vm.f, fi], dY[vm.f, fj])
-    best = np.full(src.n, np.inf)
-    best[i] = key[i]
-    pred = np.full(src.n, -1, dtype=int)
-    heap: list[tuple[float, int]] = [(float(key[i]), i)]
-    while heap:
-        val, v = heapq.heappop(heap)
-        if val > best[v]:
-            continue
-        if v == j:
-            if not want_path:
-                return float(val)
-            path = [j]
-            while path[-1] != i:
-                path.append(int(pred[path[-1]]))
-            return float(val), tuple(reversed(path))
-        for w, _e in src.adj[v]:
-            cand = max(val, float(key[w]))
-            if cand < best[w]:
-                best[w] = cand
-                pred[w] = v
-                heapq.heappush(heap, (cand, w))
-    raise ValidationError(["disconnected source"])
+    return np.maximum(dY[vm.f, int(vm.f[i])], dY[vm.f, int(vm.f[j])])
 
 
 def pullback_metric_bracket(vm: VertexMap) -> PullbackBracket:
@@ -87,9 +72,9 @@ def pullback_metric_bracket(vm: VertexMap) -> PullbackBracket:
     lower = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            v = _minimax_pair(vm, i, j)
+            v = _minimax_path(vm.source, _image_key(vm, i, j), i, j)
             lower[i, j] = lower[j, i] = v
-    return PullbackBracket(lower=lower, upper=2.0 * lower, exact=False, oracle_used=False)
+    return PullbackBracket(lower=lower, upper=2.0 * lower, exact=False)
 
 
 def _reachable_within(vm: VertexMap, i: int, j: int, cap: float,
@@ -139,9 +124,8 @@ def _exact_pair(vm: VertexMap, i: int, j: int, lo: float, dvals: np.ndarray) -> 
     diameters in [lower, achieved], deciding reachability at each."""
     if lo <= TOL:
         return 0.0
-    val, path = _minimax_pair(vm, i, j, want_path=True)
-    imgs = sorted({int(vm.f[v]) for v in path})
-    achieved = float(vm.target.dist[np.ix_(imgs, imgs)].max())
+    _val, path = _minimax_path(vm.source, _image_key(vm, i, j), i, j, want_path=True)
+    achieved = diameter(vm.target, sorted({int(vm.f[v]) for v in path}))
     if achieved <= lo + TOL:
         return achieved
     cands = [float(d) for d in dvals if lo - TOL <= d <= achieved + TOL]
@@ -174,7 +158,7 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
     """
     n = vm.source.n
     if n > cap:
-        raise ValueError(
+        raise ResourceCapExceeded(
             f"instance too large for the exact pullback solver ({n} > cap {cap}); "
             "use pullback_metric_bracket"
         )
@@ -195,20 +179,8 @@ def zero_distance_pairs(vm: VertexMap) -> list[tuple[str, str]]:
     pairs: list[tuple[str, str]] = []
     for y in range(vm.target.n):
         fib = vm.fiber(y)
-        remaining = {
-            v for i, j, _l in src.edges if i in fib and j in fib for v in (i, j)
-        }
-        while remaining:
-            start = min(remaining)
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for w, _e in src.adj[v]:
-                    if w in fib and w in remaining and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            remaining -= comp
+        touched = frozenset(v for i, j, _l in src.edges if i in fib and j in fib for v in (i, j))
+        for comp in _components_idx(src, touched):
             comp_sorted = sorted(comp)
             pairs.extend(
                 (src.ids[a], src.ids[b])
@@ -242,14 +214,12 @@ def factorize(vm: VertexMap, metric: str = "exact", cap: int = EXACT_CAP_DEFAULT
         )
     if metric == "exact":
         mat = pullback_metric_exact(vm, cap=cap)
-        bracket = PullbackBracket(lower=mat, upper=mat.copy(), exact=True, oracle_used=True)
+        bracket = PullbackBracket(lower=mat, upper=mat.copy(), exact=True)
     else:
         bracket = pullback_metric_bracket(vm)
         mat = bracket.lower
     src = vm.source
-    masses = [(src.ids[k], float(vm.target.mass[int(vm.f[k])])) for k in range(src.n)]
-    edges = [(src.ids[i], src.ids[j], ln) for i, j, ln in src.edges]
-    pb_space = Space.build(masses, edges, np.array(mat, dtype=float))
+    pb_space = _with_metric(src, mat, vm.target.mass[vm.f])
     lift = VertexMap(source=src, target=pb_space, f=np.arange(src.n), check=False)
     proj = VertexMap(source=pb_space, target=vm.target, f=vm.f.copy(), check=False)
     return Factorization(
@@ -288,14 +258,27 @@ def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | Non
     return out
 
 
-def _path_image_length(vm: VertexMap, path: tuple[int, ...]) -> float:
-    dY = vm.target.dist
-    return float(sum(dY[int(vm.f[a]), int(vm.f[b])] for a, b in zip(path, path[1:])))
-
-
-def _path_source_length(space: Space, path: tuple[int, ...]) -> float:
-    return float(sum(space.edge_length(space.edge_index[(a, b)])
-                     for a, b in zip(path, path[1:])))
+def _worst_distortion(vm: VertexMap, paths: list[tuple[int, ...]], kind: str):
+    """Worst two-sided distortion max(b/a, a/b), at least 1, over the paths,
+    of the source size a against the image size b under ``vm``, and the path
+    attaining it.  Sizes are lengths for kind "bld" and diameters for "bdd".
+    A zero on either side is infinite distortion, with that path as witness."""
+    src, tgt = vm.source, vm.target
+    if kind == "bld":
+        def sizes(p):
+            return _path_length(src, p), _path_length(tgt, p, vm.f)
+    else:
+        def sizes(p):
+            return diameter(src, frozenset(p)), diameter(tgt, frozenset(int(vm.f[v]) for v in p))
+    worst, witness = 1.0, None
+    for path in paths:
+        a, b = sizes(path)
+        if a <= TOL or b <= TOL:
+            return math.inf, path
+        r = max(b / a, a / b)
+        if r > worst:
+            worst, witness = r, path
+    return worst, witness
 
 
 def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:
@@ -312,7 +295,7 @@ def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:
     ok = True
 
     # (i) 1-Lipschitz against the chosen matrix
-    dY = np.array([[pi.image_dist(i, j) for j in range(pb.n)] for i in range(pb.n)])
+    dY = pi.target.dist[np.ix_(pi.f, pi.f)]
     lip_bad = np.argwhere(dY > pb.dist + TOL)
     if lip_bad.size:
         ok = False
@@ -322,14 +305,13 @@ def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:
 
     # (ii) inclusion chain for all z and candidate r
     lo_factor = 1.0 if exact else 0.5
-    hi_factor = 2.0 if exact else 2.0
     checked = 0
     for z in range(pb.n):
         radii = sorted(set(pb.ball_radii(z)) | set(pi.target.ball_radii(int(pi.f[z]))))
         for r in radii:
             u = set(u_component(pi, z, r).members)
             b_in = ball(pb, pb.ids[z], lo_factor * r)
-            b_out = ball(pb, pb.ids[z], hi_factor * r)
+            b_out = ball(pb, pb.ids[z], 2.0 * r)
             checked += 1
             if not (b_in <= u and u <= b_out):
                 ok = False
@@ -365,23 +347,7 @@ def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:
 def length_metric(dist: np.ndarray, space: Space) -> np.ndarray:
     """Shortest-path metric where a path's length is the sum of consecutive
     matrix distances along graph edges."""
-    n = space.n
-    out = np.full((n, n), np.inf)
-    for s in range(n):
-        out[s, s] = 0.0
-        heap = [(0.0, s)]
-        while heap:
-            val, v = heapq.heappop(heap)
-            if val > out[s, v]:
-                continue
-            for w, _e in space.adj[v]:
-                cand = val + float(dist[v, w])
-                if cand < out[s, w] - 1e-15:
-                    out[s, w] = cand
-                    heapq.heappush(heap, (cand, w))
-    if np.any(np.isinf(out)):
-        raise ValidationError(["disconnected"])
-    return out
+    return _geodesic(space.n, [(i, j, float(dist[i, j])) for i, j, _ln in space.edges])
 
 
 def bld_bdd_transfer_check(fact: Factorization, path_budget: int = 4, seed: int = 0,
@@ -389,36 +355,11 @@ def bld_bdd_transfer_check(fact: Factorization, path_budget: int = 4, seed: int 
     """Worst BLD and BDD ratios of f equal those of the lift g over the
     enumerated curve sample (exactly under the exact metric, within factor 2
     under the bracket)."""
-    vm = fact.vm
-    pb = fact.pullback_space
-    rng = np.random.default_rng(seed)
-    paths = enumerate_paths(vm.source, path_budget, rng=rng, n_random=n_random)
+    paths = enumerate_paths(fact.vm.source, path_budget, rng=np.random.default_rng(seed),
+                            n_random=n_random)
     exact = fact.metric_choice == "exact"
-
-    def ratios(image_len, image_diam):
-        worst_bld = 1.0
-        worst_bdd = 1.0
-        for path in paths:
-            ls = _path_source_length(vm.source, path)
-            li = image_len(path)
-            if li <= TOL or ls <= TOL:
-                return float("inf"), float("inf")
-            worst_bld = max(worst_bld, li / ls, ls / li)
-            ds = diameter(vm.source, frozenset(path))
-            di = image_diam(path)
-            if di <= TOL or ds <= TOL:
-                return worst_bld, float("inf")
-            worst_bdd = max(worst_bdd, di / ds, ds / di)
-        return worst_bld, worst_bdd
-
-    f_bld, f_bdd = ratios(
-        lambda p: _path_image_length(vm, p),
-        lambda p: diameter(vm.target, frozenset(int(vm.f[v]) for v in p)),
-    )
-    g_bld, g_bdd = ratios(
-        lambda p: float(sum(pb.dist[a, b] for a, b in zip(p, p[1:]))),
-        lambda p: diameter(pb, frozenset(p)),
-    )
+    f_bld, f_bdd, g_bld, g_bdd = (_worst_distortion(m, paths, kind)[0]
+                                  for m in (fact.vm, fact.lift) for kind in ("bld", "bdd"))
     if exact:
         ok = abs(f_bld - g_bld) <= 1e-9 * max(1.0, f_bld) and abs(f_bdd - g_bdd) <= 1e-9 * max(1.0, f_bdd)
     else:

@@ -114,12 +114,7 @@ class Space:
             raise ValidationError(findings)
         elist.sort()
         is_path = isinstance(dist, str) and dist == "path"
-        if is_path:
-            dmat = _apsp(len(ids), elist)
-            if np.any(np.isinf(dmat)):
-                raise ValidationError(["disconnected"])
-        else:
-            dmat = np.array(dist, dtype=float)
+        dmat = _geodesic(len(ids), elist) if is_path else np.array(dist, dtype=float)
         sp = cls(ids=ids, mass=mass, edges=tuple(elist), dist=dmat,
                  is_path_metric=is_path)
         # a freshly computed shortest-path matrix is a metric by construction
@@ -154,10 +149,8 @@ class Space:
             findings.append("disconnected")
         if self.mass.sum() <= 0:
             findings.append("total mass not positive")
-        if self.is_path_metric and check_geometry:
-            apsp = _apsp(n, list(self.edges))
-            if np.abs(apsp - d).max(initial=0.0) > TOL:
-                findings.append("dist does not equal all-pairs shortest-path metric")
+        if self.is_path_metric and check_geometry and not _equals_path_metric(self):
+            findings.append("dist does not equal all-pairs shortest-path metric")
         return findings
 
     # -- basic accessors ----------------------------------------------------
@@ -260,9 +253,7 @@ class Curve:
 
     @property
     def length(self) -> float:
-        sp = self.space
-        return float(sum(sp.edge_length(sp.edge_index[(a, b)])
-                         for a, b in zip(self.vertices, self.vertices[1:])))
+        return _path_length(self.space, self.vertices)
 
     def edge_indices(self) -> list[int]:
         sp = self.space
@@ -289,12 +280,40 @@ def _apsp(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
     return shortest_path(g, method="D", directed=False)
 
 
-def path_metric(space: Space) -> np.ndarray:
-    """Exact all-pairs shortest-path distances of the edge graph."""
-    d = _apsp(space.n, list(space.edges))
+def _geodesic(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
+    """All-pairs shortest paths of a graph that must be connected."""
+    d = _apsp(n, edges)
     if np.any(np.isinf(d)):
         raise ValidationError(["disconnected"])
     return d
+
+
+def _equals_path_metric(space: Space) -> bool:
+    """Does the distance matrix equal the graph's shortest-path metric?"""
+    return np.abs(_apsp(space.n, list(space.edges)) - space.dist).max(initial=0.0) <= TOL
+
+
+def path_metric(space: Space) -> np.ndarray:
+    """Exact all-pairs shortest-path distances of the edge graph."""
+    return _geodesic(space.n, list(space.edges))
+
+
+def _with_metric(space: Space, dist: np.ndarray, mass: np.ndarray | None = None) -> Space:
+    """The graph of ``space`` with another distance matrix and, if given,
+    other vertex masses."""
+    mass = space.mass if mass is None else mass
+    return Space.build(zip(space.ids, (float(m) for m in mass)),
+                       [(space.ids[i], space.ids[j], ln) for i, j, ln in space.edges], dist)
+
+
+def _path_length(space: Space, path: Sequence[int], f: np.ndarray | None = None) -> float:
+    """Length of a vertex path: the sum of the edge lengths of ``space`` or,
+    given a vertex map ``f`` into ``space``, of the distances between
+    consecutive images."""
+    steps = zip(path, path[1:])
+    if f is None:
+        return float(sum(space.edge_length(space.edge_index[st]) for st in steps))
+    return float(sum(space.dist[f[a], f[b]] for a, b in steps))
 
 
 def ball(space: Space, center: str, r: float) -> frozenset[int]:
@@ -309,32 +328,54 @@ def ball_closed(space: Space, center: str, r: float) -> frozenset[int]:
     return frozenset(int(k) for k in np.nonzero(space.dist[c] <= r + TOL)[0])
 
 
+def _idx(space: Space, v: int | str) -> int:
+    """Vertex index of an id or an index."""
+    return space.i(v) if isinstance(v, str) else int(v)
+
+
+def _vertex_array(space: Space, values: Mapping[str, float] | np.ndarray | None) -> np.ndarray:
+    """Per-vertex float array from an id mapping or an array; None gives the masses."""
+    if values is None:
+        return np.asarray(space.mass, dtype=float)
+    if isinstance(values, np.ndarray):
+        return values.astype(float)
+    return np.array([float(values[v]) for v in space.ids], dtype=float)
+
+
+def _component_of(space: Space, members: frozenset[int], x: int) -> frozenset[int]:
+    """The x-component of the subgraph induced on ``members``."""
+    if x not in members:
+        raise AssertionError("vertex not in the set it should anchor")
+    comp = {x}
+    stack = [x]
+    while stack:
+        v = stack.pop()
+        for w, _e in space.adj[v]:
+            if w in members and w not in comp:
+                comp.add(w)
+                stack.append(w)
+    return frozenset(comp)
+
+
 def _components_idx(space: Space, members: frozenset[int]) -> list[frozenset[int]]:
+    """Components of the induced subgraph, ordered by smallest member."""
     remaining = set(members)
     out: list[frozenset[int]] = []
     while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _e in space.adj[v]:
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
+        comp = _component_of(space, members, min(remaining))
         remaining -= comp
-        out.append(frozenset(comp))
-    return sorted(out, key=min)
+        out.append(comp)
+    return out
 
 
 def components(space: Space, members: Iterable[int] | Iterable[str]) -> list[Continuum]:
     """Connected components of the induced subgraph, as Continuum values."""
-    idx = frozenset(space.i(v) if isinstance(v, str) else int(v) for v in members)
+    idx = frozenset(_idx(space, v) for v in members)
     return [Continuum(space, c) for c in _components_idx(space, idx)]
 
 
 def diameter(space: Space, members: Iterable[int] | Iterable[str]) -> float:
-    idx = [space.i(v) if isinstance(v, str) else int(v) for v in members]
+    idx = [_idx(space, v) for v in members]
     if not idx:
         raise ValueError("diameter of empty set")
     sub = space.dist[np.ix_(idx, idx)]
@@ -404,16 +445,13 @@ def bounded_turning_constant(space: Space) -> tuple[float, float]:
     """Bracket (lower, upper) for the bounded-turning constant.
 
     c = max over pairs of (min over connecting continua of diameter) / dist.
-    Uses the same minimax-threshold algorithm as the pullback bracket (the
+    Uses the minimax search of the pullback bracket for the identity map (the
     connecting-continuum infimum is threshold-connectivity in disguise), so
     lower <= c <= upper = 2 * lower.  Path-metric spaces return (1.0, 1.0).
     """
     if not space._connected():
         raise ValidationError(["disconnected"])
-    if space.is_path_metric:
-        return (1.0, 1.0)
-    apsp = _apsp(space.n, list(space.edges))
-    if np.abs(apsp - space.dist).max(initial=0.0) <= TOL:
+    if space.is_path_metric or _equals_path_metric(space):
         return (1.0, 1.0)
     worst = 1.0
     for i in range(space.n):
@@ -421,33 +459,41 @@ def bounded_turning_constant(space: Space) -> tuple[float, float]:
             dij = space.dist[i, j]
             if dij <= TOL:
                 continue
-            t = _minimax_threshold(space, space.dist, i, j)
-            worst = max(worst, t / dij)
+            key = np.maximum(space.dist[:, i], space.dist[:, j])
+            worst = max(worst, _minimax_path(space, key, i, j) / dij)
     return (worst, 2.0 * worst)
 
 
-def _minimax_threshold(space: Space, dmat: np.ndarray, i: int, j: int) -> float:
-    """min over graph paths i -> j of max_v max(dmat[v,i], dmat[v,j]).
+def _minimax_path(space: Space, key: np.ndarray, i: int, j: int, want_path: bool = False):
+    """min over graph paths i -> j of the largest key on the path.
 
     This is the smallest threshold D at which i and j lie in the same
-    component of {v : dmat[v,i] <= D and dmat[v,j] <= D}.
+    component of {v : key[v] <= D}, found by a Dijkstra-style search with
+    max-relaxation and deterministic tie-breaking.  With ``want_path`` also
+    returns a path attaining it.
     """
-    key = np.maximum(dmat[:, i], dmat[:, j])
     best = np.full(space.n, np.inf)
     best[i] = key[i]
-    heap: list[tuple[float, int]] = [(key[i], i)]
+    pred = np.full(space.n, -1, dtype=int)
+    heap: list[tuple[float, int]] = [(float(key[i]), i)]
     while heap:
         val, v = heapq.heappop(heap)
         if val > best[v]:
             continue
         if v == j:
-            return float(val)
+            if not want_path:
+                return float(val)
+            path = [j]
+            while path[-1] != i:
+                path.append(int(pred[path[-1]]))
+            return float(val), tuple(reversed(path))
         for w, _e in space.adj[v]:
-            cand = max(val, key[w])
+            cand = max(val, float(key[w]))
             if cand < best[w]:
                 best[w] = cand
+                pred[w] = v
                 heapq.heappush(heap, (cand, w))
-    return float("inf")
+    raise ValidationError(["disconnected"])
 
 
 # -- JSON schema --------------------------------------------------------------
@@ -472,19 +518,19 @@ def space_from_json(obj: dict) -> Space:
     missing = _SPACE_FIELDS - set(obj)
     if missing:
         raise ValidationError([f"missing fields: {sorted(missing)}"])
-    findings = []
-    verts = []
-    for rec in obj["vertices"]:
-        if set(rec) != {"id", "mass"}:
-            findings.append(f"vertex record fields must be exactly id,mass: {rec}")
-            continue
-        verts.append((rec["id"], rec["mass"]))
-    edges = []
-    for rec in obj["edges"]:
-        if set(rec) != {"u", "v", "len"}:
-            findings.append(f"edge record fields must be exactly u,v,len: {rec}")
-            continue
-        edges.append((rec["u"], rec["v"], rec["len"]))
+    findings: list[str] = []
+
+    def records(key: str, what: str, fields: tuple[str, ...]) -> list[tuple]:
+        out = []
+        for rec in obj[key]:
+            if set(rec) != set(fields):
+                findings.append(f"{what} record fields must be exactly {','.join(fields)}: {rec}")
+            else:
+                out.append(tuple(rec[k] for k in fields))
+        return out
+
+    verts = records("vertices", "vertex", ("id", "mass"))
+    edges = records("edges", "edge", ("u", "v", "len"))
     if findings:
         raise ValidationError(findings)
     dist = obj["dist"]

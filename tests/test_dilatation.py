@@ -190,3 +190,19 @@ class TestBqs:
         gauge = bqs_gauge(gen_winding(2, levels=3, sectors=8), seed=5, budget=30)
         vals = [v for _t, v in gauge.pairs()]
         assert vals == sorted(vals)
+
+
+class TestZeroDistanceSamples:
+    def test_bdd_zero_source_diameter_is_infinite_distortion(self):
+        # an explicit metric may put two adjacent vertices at distance zero;
+        # the sampled path a-b then has source diameter 0
+        dist = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        src = Space.build([(v, 1.0) for v in "abc"],
+                          [("a", "b", 1.0), ("b", "c", 1.0)], dist)
+        tgt = Space.build([(v, 1.0) for v in "ABC"],
+                          [("A", "B", 1.0), ("B", "C", 1.0)], "path")
+        vm = VertexMap.build(src, tgt, {"a": "A", "b": "B", "c": "C"})
+        cert = bdd_verify(vm)
+        assert cert.constant == math.inf
+        assert not cert.passed
+        assert cert.witness == ["a", "b"]

@@ -252,3 +252,19 @@ class TestTransfer:
         fact = factorize(gen_cycle_cover(10, 2), metric="lower")
         cert = bld_bdd_transfer_check(fact)
         assert cert.passed and "approximate" in cert.flags
+
+
+class TestSandwichAtLargerSizes:
+    @pytest.mark.parametrize("n_src", [20, 30, 40])
+    def test_lower_exact_upper_on_seeded_random_maps(self, n_src):
+        for seed in range(3):
+            rng = np.random.default_rng(1000 * n_src + seed)
+            vm = random_map(rng, n_src, max(2, n_src // 4))
+            br = pullback_metric_bracket(vm)
+            ex = pullback_metric_exact(vm, cap=n_src)
+            assert np.all(br.lower <= ex + 1e-9)
+            assert np.all(ex <= 2.0 * br.lower + 1e-9)
+            assert np.array_equal(br.upper, 2.0 * br.lower)
+            for mat in (br.lower, ex):
+                assert np.array_equal(mat, mat.T)
+                assert np.all(np.diag(mat) == 0.0)

@@ -280,3 +280,37 @@ def test_path_metric_is_metric(n, extra, seed):
     assert np.allclose(np.diag(d), 0.0)
     for k in range(n):
         assert np.all(d <= d[:, [k]] + d[[k], :] + 1e-9)
+
+
+class TestBoundedTurningAgainstPullback:
+    """bounded_turning_constant is the pullback bracket of the identity map."""
+
+    def test_path_metric_spaces_return_one(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            sp = random_connected_space(rng, 9, extra_edges=3)
+            assert bounded_turning_constant(sp) == (1.0, 1.0)
+            explicit = Space.build([(v, float(m)) for v, m in zip(sp.ids, sp.mass)],
+                                   [(sp.ids[i], sp.ids[j], ln) for i, j, ln in sp.edges],
+                                   sp.dist.copy())
+            assert not explicit.is_path_metric
+            assert bounded_turning_constant(explicit) == (1.0, 1.0)
+
+    def test_explicit_metric_equals_identity_bracket_ratio(self):
+        from qrgraph.generators import identity_map
+        from qrgraph.pullback import pullback_metric_bracket
+
+        rng = np.random.default_rng(12)
+        for n in (5, 8, 12):
+            sp = random_connected_space(rng, n, extra_edges=3)
+            # the graph of sp with the Euclidean metric of random planar points
+            pts = rng.uniform(0.0, 1.0, size=(n, 2))
+            eucl = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+            sq = Space.build([(v, float(m)) for v, m in zip(sp.ids, sp.mass)],
+                             [(sp.ids[i], sp.ids[j], ln) for i, j, ln in sp.edges], eucl)
+            lo, hi = bounded_turning_constant(sq)
+            lower = pullback_metric_bracket(identity_map(sq)).lower
+            iu = np.triu_indices(n, 1)
+            assert lo == float(np.max(lower[iu] / sq.dist[iu]))
+            assert hi == 2.0 * lo
+            assert lo > 1.0
