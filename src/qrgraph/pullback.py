@@ -361,7 +361,9 @@ def bld_bdd_transfer_check(fact: Factorization, path_budget: int = 4, seed: int 
     f_bld, f_bdd, g_bld, g_bdd = (_worst_distortion(m, paths, kind)[0]
                                   for m in (fact.vm, fact.lift) for kind in ("bld", "bdd"))
     if exact:
-        ok = abs(f_bld - g_bld) <= 1e-9 * max(1.0, f_bld) and abs(f_bdd - g_bdd) <= 1e-9 * max(1.0, f_bdd)
+        # f == g first: two infinite distortions are equal, but inf - inf is nan
+        ok = all(f == g or abs(f - g) <= 1e-9 * max(1.0, f)
+                 for f, g in ((f_bld, g_bld), (f_bdd, g_bdd)))
     else:
         ok = (g_bld <= 2.0 * f_bld + TOL and f_bld <= 2.0 * g_bld + TOL
               and g_bdd <= 2.0 * f_bdd + TOL and f_bdd <= 2.0 * g_bdd + TOL)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,19 @@ class TestTransfer:
         assert cert.passed
         assert cert.details["f_bld"] == pytest.approx(1.0)
         assert cert.details["g_bld"] == pytest.approx(1.0)
+
+    def test_infinite_bdd_on_both_sides_passes(self):
+        # explicit d(a,b) = 0: the sampled path a-b has source diameter 0, so
+        # f and its lift g both have infinite BDD distortion, and inf == inf
+        dist = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        src = Space.build([(v, 1.0) for v in "abc"],
+                          [("a", "b", 1.0), ("b", "c", 1.0)], dist)
+        tgt = Space.build([(v, 1.0) for v in "ABC"],
+                          [("A", "B", 1.0), ("B", "C", 1.0)], "path")
+        vm = VertexMap.build(src, tgt, {"a": "A", "b": "B", "c": "C"})
+        cert = bld_bdd_transfer_check(factorize(vm, metric="exact"))
+        assert cert.details["f_bdd"] == cert.details["g_bdd"] == math.inf
+        assert cert.passed
 
     def test_stretched_edge_reports_three(self):
         src = gen_cycle(4, prefix="s")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_space
+from qrgraph import spaces
+from qrgraph.generators import gen_polar_grid
+from qrgraph.modulus import CurveFamily, modulus
 from qrgraph.spaces import (
     Continuum,
     Curve,
@@ -70,6 +75,19 @@ class TestPathMetric:
     def test_disconnected_rejected(self):
         with pytest.raises(ValidationError, match="disconnected"):
             Space.build([("a", 1), ("b", 1), ("c", 1)], [("a", "b", 1.0)], "path")
+
+    def test_infinite_edge_length_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            Space.build([("a", 1), ("b", 1), ("c", 1)],
+                        [("a", "b", math.inf), ("b", "c", 1.0)], "path")
+        assert exc.value.findings == ("non-finite edge length on (a,b)",)
+
+    def test_non_finite_masses_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            Space.build([("a", math.nan), ("b", 1), ("c", math.inf)],
+                        [("a", "b", 1.0), ("b", "c", 1.0)], "path")
+        assert exc.value.findings == ("non-finite vertex mass at a",
+                                      "non-finite vertex mass at c")
 
     def test_random_graphs_pass_invariants(self):
         # spec invariant: 1000 random graphs, path metric passes the checker
@@ -267,6 +285,70 @@ def test_space_is_immutable():
         sp.mass[0] = 2.0
     with pytest.raises(Exception):
         sp.ids = ("x",)
+
+
+class TestLazyPathMetric:
+    """A path metric is computed on the first read of ``dist`` and cached."""
+
+    @pytest.fixture
+    def apsp_calls(self, monkeypatch):
+        calls = []
+        real = spaces._apsp
+
+        def counting(n, edges):
+            calls.append(n)
+            return real(n, edges)
+
+        monkeypatch.setattr(spaces, "_apsp", counting)
+        return calls
+
+    def test_annulus_modulus_never_fills(self, apsp_calls):
+        ann = gen_polar_grid(17, 16, 1.0, math.e)
+        inner, outer = ([f"r{level:03d}s{j:03d}" for j in range(16)] for level in (0, 16))
+        modulus(CurveFamily.connecting(ann, inner, outer), p=2)
+        assert apsp_calls == []
+
+    def test_first_read_fills_once(self, apsp_calls):
+        sp = _cycle4((1.0, 2.0, 1.0, 3.0))
+        assert apsp_calls == []
+        d = sp.dist
+        assert apsp_calls == [4]
+        assert sp.dist is d
+        assert apsp_calls == [4]
+        assert np.array_equal(d, path_metric(sp))
+        assert d.flags.writeable is False
+
+    def test_explicit_metric_never_fills(self, apsp_calls):
+        dist = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]])
+        sp = Space.build([("a", 1), ("b", 1), ("c", 1)],
+                         [("a", "b", 1.0), ("b", "c", 1.0)], dist)
+        assert np.array_equal(sp.dist, dist)
+        assert not sp.is_path_metric
+        assert apsp_calls == []
+
+    def test_concurrent_first_reads_agree(self):
+        sp = random_connected_space(np.random.default_rng(3), 60, extra_edges=40)
+        start = threading.Barrier(4)
+        seen = [None] * 4
+
+        def read(k):
+            start.wait(timeout=10)
+            seen[k] = sp.dist
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for d in seen:
+            assert np.array_equal(d, path_metric(sp))
+            assert d.flags.writeable is False
 
 
 @settings(max_examples=40, deadline=None)
