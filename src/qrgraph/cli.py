@@ -205,10 +205,35 @@ def cmd_measure(args) -> int:
 
 
 def _family_from_json(space, obj) -> CurveFamily:
+    """A connecting spec or a list of curves; a missing E or F and every
+    unknown vertex id are findings."""
+    findings: list[str] = []
+
+    def known(ids, where: str):
+        if not isinstance(ids, list):
+            findings.append(f"{where} must be a list of vertex ids")
+            return
+        bad = [v for v in ids if not (isinstance(v, str) and v in space.index)]
+        if bad:
+            findings.append(f"unknown vertex ids in {where}: {bad}")
+
     if isinstance(obj, dict) and "connect" in obj:
         spec = obj["connect"]
+        if not isinstance(spec, dict) or not {"E", "F"} <= set(spec):
+            raise ValidationError(["connect family needs E and F"])
+        for key in ("E", "F", "within"):
+            if spec.get(key) is not None:
+                known(spec[key], key)
+        if findings:
+            raise ValidationError(findings)
         return CurveFamily.connecting(space, spec["E"], spec["F"], spec.get("within"))
-    curves = obj["curves"] if isinstance(obj, dict) else obj
+    curves = obj.get("curves") if isinstance(obj, dict) else obj
+    if not isinstance(curves, list):
+        raise ValidationError(["family needs a connect spec or a list of curves"])
+    for k, c in enumerate(curves):
+        known(c, f"curves[{k}]")
+    if findings:
+        raise ValidationError(findings)
     return CurveFamily.explicit(space, [Curve.from_ids(space, c) for c in curves])
 
 

@@ -5,6 +5,13 @@ diameter of a connected subgraph containing both.  The bracket computes a
 minimax-threshold lower bound d with the guarantee d <= exact <= 2d; the
 exact solver resolves the value by an ascending threshold-decision search
 inside that window.
+
+The lower bound of a pair (i, j) is the minimax, over source paths, of
+max(d_Y(f(v), f(i)), d_Y(f(v), f(j))).  That key depends on the pair only
+through its target pair (f(i), f(j)), so one Kruskal threshold sweep per
+unordered pair of occupied target vertices (a, b) settles every pair of
+fiber(a) x fiber(b).  The sweep's spanning forest also gives each pair a
+minimax path, whose image diameter is the exact solver's upper witness.
 """
 from __future__ import annotations
 
@@ -20,8 +27,8 @@ from .spaces import (
     ValidationError,
     _components_idx,
     _geodesic,
-    _minimax_path,
     _path_length,
+    _threshold_sweeps,
     _with_metric,
     ball,
     diameter,
@@ -59,21 +66,65 @@ class PullbackBracket:
         self.upper.setflags(write=False)
 
 
-def _image_key(vm: VertexMap, i: int, j: int) -> np.ndarray:
-    """Per source vertex v: max(d_Y(f(v), f(i)), d_Y(f(v), f(j))).  The
-    minimax of this key over source paths i -> j is the bracket's lower value."""
-    dY = vm.target.dist
-    return np.maximum(dY[vm.f, int(vm.f[i])], dY[vm.f, int(vm.f[j])])
+def _target_pair_sweeps(vm: VertexMap, witness: bool):
+    """The bracket's lower matrix, by one threshold sweep per unordered pair
+    (a, b) of occupied target vertices, a == b included.  With ``witness``,
+    also the image diameter of each pair's path in the sweep's forest (a
+    minimax path, so an upper bound on the exact value); else None."""
+    n, f, dY = vm.source.n, vm.f, vm.target.dist
+    occupied = np.unique(f).tolist()
+    pairs = [(a, b) for k, a in enumerate(occupied) for b in occupied[k:]]
+    fiber = {a: np.nonzero(f == a)[0] for a in occupied}
+    jobs = ((np.maximum(dY[f, a], dY[f, b]), fiber[a], fiber[b]) for a, b in pairs)
+    lower = np.zeros((n, n))
+    achieved = np.zeros((n, n)) if witness else None
+    for (a, b), (vals, forest) in zip(pairs, _threshold_sweeps(vm.source, jobs)):
+        fa, fb = fiber[a], fiber[b]
+        mats = [(lower, vals)]
+        if witness:
+            mats.append((achieved, _forest_path_diameters(vm, forest, fa, fb)))
+        for mat, v in mats:
+            mat[fa[:, None], fb] = v
+            mat[fb[:, None], fa] = v.T
+    return lower, achieved
+
+
+def _forest_path_diameters(vm: VertexMap, forest: list[tuple[int, int]],
+                           left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Image diameter of the forest path from each vertex of ``left`` to each
+    vertex of ``right``; the forest joins them all in one tree."""
+    f = vm.f.tolist()
+    nbrs: dict[int, list[int]] = {}
+    for u, v in forest:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    root = int(left[0])
+    parent, depth = {root: root}, {root: 0}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in nbrs.get(v, ()):
+            if w not in parent:
+                parent[w], depth[w] = v, depth[v] + 1
+                stack.append(w)
+    out = np.zeros((len(left), len(right)))
+    for p, x in enumerate(left.tolist()):
+        for q, y in enumerate(right.tolist()):
+            u, v, img = x, y, {f[x], f[y]}
+            while u != v:  # climb to the common ancestor
+                if depth[u] >= depth[v]:
+                    u = parent[u]
+                    img.add(f[u])
+                else:
+                    v = parent[v]
+                    img.add(f[v])
+            out[p, q] = diameter(vm.target, img)
+    return out
 
 
 def pullback_metric_bracket(vm: VertexMap) -> PullbackBracket:
     """Certified bracket: lower <= f*d_Y <= 2 * lower entrywise."""
-    n = vm.source.n
-    lower = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _minimax_path(vm.source, _image_key(vm, i, j), i, j)
-            lower[i, j] = lower[j, i] = v
+    lower, _ = _target_pair_sweeps(vm, witness=False)
     return PullbackBracket(lower=lower, upper=2.0 * lower, exact=False)
 
 
@@ -119,13 +170,13 @@ def _reachable_within(vm: VertexMap, i: int, j: int, cap: float,
     return False
 
 
-def _exact_pair(vm: VertexMap, i: int, j: int, lo: float, dvals: np.ndarray) -> float:
+def _exact_pair(vm: VertexMap, i: int, j: int, lo: float, achieved: float,
+                dvals: np.ndarray) -> float:
     """Exact pullback distance for one pair via binary search on candidate
-    diameters in [lower, achieved], deciding reachability at each."""
+    diameters in [lower, achieved], deciding reachability at each.
+    ``achieved`` is the image diameter of a path from i to j."""
     if lo <= TOL:
         return 0.0
-    _val, path = _minimax_path(vm.source, _image_key(vm, i, j), i, j, want_path=True)
-    achieved = diameter(vm.target, sorted({int(vm.f[v]) for v in path}))
     if achieved <= lo + TOL:
         return achieved
     cands = [float(d) for d in dvals if lo - TOL <= d <= achieved + TOL]
@@ -139,7 +190,7 @@ def _exact_pair(vm: VertexMap, i: int, j: int, lo: float, dvals: np.ndarray) -> 
             cache[cap] = [frozenset(int(t) for t in np.nonzero(row)[0]) for row in ok]
         return cache[cap]
 
-    lo_k, hi_k = 0, len(cands) - 1  # cands[hi_k] is reachable via `path`
+    lo_k, hi_k = 0, len(cands) - 1  # cands[hi_k] is reachable via the witness path
     while lo_k < hi_k:
         mid = (lo_k + hi_k) // 2
         if _reachable_within(vm, i, j, cands[mid], nbhd_at(cands[mid])):
@@ -153,8 +204,10 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
     """Exact pullback matrix: min over connected subgraphs containing each
     pair of the image diameter (attained on simple paths).
 
-    Resolved per pair by binary search on candidate diameters inside the
-    bracket window, with reachability decided by a dominance-pruned search.
+    Resolved per pair by binary search on candidate diameters from the
+    bracket's lower value up to the image diameter of the pair's minimax path
+    in the bracket sweep, with reachability decided by a dominance-pruned
+    search.
     """
     n = vm.source.n
     if n > cap:
@@ -162,12 +215,12 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
             f"instance too large for the exact pullback solver ({n} > cap {cap}); "
             "use pullback_metric_bracket"
         )
-    bracket = pullback_metric_bracket(vm)
+    lower, achieved = _target_pair_sweeps(vm, witness=True)
     dvals = np.unique(vm.target.dist)
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            v = _exact_pair(vm, i, j, float(bracket.lower[i, j]), dvals)
+            v = _exact_pair(vm, i, j, float(lower[i, j]), float(achieved[i, j]), dvals)
             out[i, j] = out[j, i] = v
     return out
 

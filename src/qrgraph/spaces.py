@@ -14,7 +14,6 @@ that computes it again gets an equal array.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -312,7 +311,10 @@ def _apsp(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
     cols = [e[1] for e in edges] + [e[0] for e in edges]
     vals = [e[2] for e in edges] * 2
     g = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return shortest_path(g, method="D", directed=False)
+    d = shortest_path(g, method="D", directed=False)
+    # The two directions of a pair can sum their edges in a different order
+    # and differ in the last bit; keep one value per pair.
+    return np.minimum(d, d.T)
 
 
 def _geodesic(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
@@ -480,55 +482,83 @@ def bounded_turning_constant(space: Space) -> tuple[float, float]:
     """Bracket (lower, upper) for the bounded-turning constant.
 
     c = max over pairs of (min over connecting continua of diameter) / dist.
-    Uses the minimax search of the pullback bracket for the identity map (the
-    connecting-continuum infimum is threshold-connectivity in disguise), so
-    lower <= c <= upper = 2 * lower.  Path-metric spaces return (1.0, 1.0).
+    Uses the threshold sweep of the pullback bracket for the identity map
+    (the connecting-continuum infimum is threshold-connectivity in disguise),
+    one sweep per pair, so lower <= c <= upper = 2 * lower.  Path-metric
+    spaces return (1.0, 1.0).
     """
     if not space._connected():
         raise ValidationError(["disconnected"])
     if space.is_path_metric or _equals_path_metric(space):
         return (1.0, 1.0)
+    d = space.dist
+    pairs = [(i, j) for i in range(space.n) for j in range(i + 1, space.n) if d[i, j] > TOL]
+    jobs = ((np.maximum(d[:, i], d[:, j]), [i], [j]) for i, j in pairs)
     worst = 1.0
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            dij = space.dist[i, j]
-            if dij <= TOL:
-                continue
-            key = np.maximum(space.dist[:, i], space.dist[:, j])
-            worst = max(worst, _minimax_path(space, key, i, j) / dij)
+    for (i, j), (vals, _forest) in zip(pairs, _threshold_sweeps(space, jobs)):
+        worst = max(worst, float(vals[0, 0]) / d[i, j])
     return (worst, 2.0 * worst)
 
 
-def _minimax_path(space: Space, key: np.ndarray, i: int, j: int, want_path: bool = False):
-    """min over graph paths i -> j of the largest key on the path.
+def _threshold_sweeps(space: Space, jobs: Iterable[tuple[np.ndarray, Sequence[int], Sequence[int]]]):
+    """For each (key, left, right) in ``jobs``, the minimax of ``key`` over
+    graph paths from every vertex of ``left`` to every vertex of ``right``.
 
-    This is the smallest threshold D at which i and j lie in the same
-    component of {v : key[v] <= D}, found by a Dijkstra-style search with
-    max-relaxation and deterministic tie-breaking.  With ``want_path`` also
-    returns a path attaining it.
+    That minimax is the smallest threshold D at which the two vertices lie in
+    one component of {v : key[v] <= D}.  One Kruskal sweep finds it for all
+    pairs at once: edges open in ascending order of max(key[u], key[v]), ties
+    by edge index, and union-find joins their ends.  The weight of the edge
+    that first puts a left and a right vertex in one component is their
+    value.  The sweep stops once every pair is joined.
+
+    Yields per job the (len(left), len(right)) matrix of values, zero where
+    left and right name the same vertex, and the forest edges (u, v) opened
+    so far.  The forest path between two joined vertices is a minimax path:
+    no forest edge outweighs the edge that joined them.
     """
-    best = np.full(space.n, np.inf)
-    best[i] = key[i]
-    pred = np.full(space.n, -1, dtype=int)
-    heap: list[tuple[float, int]] = [(float(key[i]), i)]
-    while heap:
-        val, v = heapq.heappop(heap)
-        if val > best[v]:
-            continue
-        if v == j:
-            if not want_path:
-                return float(val)
-            path = [j]
-            while path[-1] != i:
-                path.append(int(pred[path[-1]]))
-            return float(val), tuple(reversed(path))
-        for w, _e in space.adj[v]:
-            cand = max(val, float(key[w]))
-            if cand < best[w]:
-                best[w] = cand
-                pred[w] = v
-                heapq.heappush(heap, (cand, w))
-    raise ValidationError(["disconnected"])
+    ends = np.array([(i, j) for i, j, _ln in space.edges], dtype=np.intp).reshape(-1, 2)
+    eu, ev = ends[:, 0], ends[:, 1]
+    eu_l, ev_l = eu.tolist(), ev.tolist()
+    for key, left, right in jobs:
+        w = np.maximum(key[eu], key[ev])
+        vals = [[0.0] * len(right) for _ in left]
+        # per component root: positions of its members in left and in right
+        at_left = {int(x): [p] for p, x in enumerate(left)}
+        at_right = {int(y): [q] for q, y in enumerate(right)}
+        todo = len(left) * len(right) - len(at_left.keys() & at_right.keys())
+        parent = list(range(space.n))
+        size = [1] * space.n
+        forest: list[tuple[int, int]] = []
+        wl = w.tolist()
+        for e in np.argsort(w, kind="stable").tolist():
+            if not todo:
+                break
+            u, v = eu_l[e], ev_l[e]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                continue
+            forest.append((eu_l[e], ev_l[e]))
+            if size[u] < size[v]:
+                u, v = v, u
+            parent[v] = u
+            size[u] += size[v]
+            lu, ru = at_left.pop(u, []), at_right.pop(u, [])
+            lv, rv = at_left.pop(v, []), at_right.pop(v, [])
+            for ls, rs in ((lu, rv), (lv, ru)):
+                for p in ls:
+                    for q in rs:
+                        vals[p][q] = wl[e]
+                todo -= len(ls) * len(rs)
+            if lu or lv:
+                at_left[u] = lu + lv
+            if ru or rv:
+                at_right[u] = ru + rv
+        if todo:
+            raise ValidationError(["disconnected"])
+        yield np.array(vals), forest
 
 
 # -- JSON schema --------------------------------------------------------------

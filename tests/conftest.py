@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -58,6 +59,39 @@ def random_map(rng: np.random.Generator, n_src: int, n_tgt: int) -> VertexMap:
     tgt = Space.build(t_verts, [(f"y{a:02d}", f"y{b:02d}", ln) for (a, b), ln in sorted(t_edges.items())], "path")
     assignment = {src.ids[i]: f"y{int(labels[i]):02d}" for i in range(n_src)}
     return VertexMap.build(src, tgt, assignment)
+
+
+def minimax_path_reference(space: Space, key: np.ndarray, i: int, j: int) -> float:
+    """min over graph paths i -> j of the largest key on the path, by a
+    Dijkstra-style search with max-relaxation: the per-pair heap search the
+    library used before its threshold sweep, kept as a reference."""
+    best = np.full(space.n, np.inf)
+    best[i] = key[i]
+    heap: list[tuple[float, int]] = [(float(key[i]), i)]
+    while heap:
+        val, v = heapq.heappop(heap)
+        if val > best[v]:
+            continue
+        if v == j:
+            return float(val)
+        for w, _e in space.adj[v]:
+            cand = max(val, float(key[w]))
+            if cand < best[w]:
+                best[w] = cand
+                heapq.heappush(heap, (cand, w))
+    raise AssertionError("disconnected")
+
+
+def bracket_lower_reference(vm: VertexMap) -> np.ndarray:
+    """The bracket's lower matrix by one reference search per source pair."""
+    n = vm.source.n
+    dY = vm.target.dist
+    lower = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = np.maximum(dY[vm.f, int(vm.f[i])], dY[vm.f, int(vm.f[j])])
+            lower[i, j] = lower[j, i] = minimax_path_reference(vm.source, key, i, j)
+    return lower
 
 
 def path_image_diameter_oracle(vm: VertexMap, i: int, j: int) -> float:

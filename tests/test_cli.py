@@ -77,6 +77,24 @@ class TestSubcommands:
         assert report["results"]["value"] == pytest.approx(0.5)
         assert (out / "density.csv").exists()
 
+    def test_modulus_family_unknown_ids_exit_two(self, cover_dir, tmp_path, capsys):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"curves": [["t0000", "t0001"], ["t0001", "t0002"]]}))
+        assert run(["modulus", "--space", cover_dir / "target.json",
+                    "--family", fam, "--out", tmp_path / "ok"]) == 0
+        for spec, bad in (
+            ({"connect": {"E": ["r0_0", "t0000"], "F": ["t0004"], "within": ["zz"]}},
+             ["r0_0", "zz"]),
+            ({"connect": {"E": ["t0000"]}}, ["E and F"]),
+            ({"curves": [["t0000", "t0001"], ["t0001", "q9"]]}, ["q9"]),
+        ):
+            fam.write_text(json.dumps(spec))
+            assert run(["modulus", "--space", cover_dir / "target.json",
+                        "--family", fam, "--out", tmp_path / "mod"]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert all(b in err for b in bad), err
+
     def test_verify_properties(self, cover_dir, tmp_path):
         for prop in ("bld", "bdd", "lq", "metric-qr", "inverse-qr", "bqs"):
             code = run(["verify", "--map", cover_dir / "map.json",

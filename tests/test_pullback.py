@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import path_image_diameter_oracle, random_map
+from conftest import bracket_lower_reference, path_image_diameter_oracle, random_map
 from qrgraph.covering import VertexMap, branch_set
 from qrgraph.generators import gen_cycle, gen_cycle_cover, gen_winding, identity_map
 from qrgraph.pullback import (
@@ -51,6 +51,24 @@ class TestBracket:
             assert np.allclose(d, d.T)
             for k in range(d.shape[0]):
                 assert np.all(d <= d[:, [k]] + d[[k], :] + 1e-9)
+
+
+class TestBracketAgainstReference:
+    """The threshold sweep gives bitwise the values of one heap search per pair."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_winding(3, levels=6, sectors=8),
+        lambda: gen_cycle_cover(16, 2),
+    ], ids=["winding_3_6_8", "cycle_cover_16_2"])
+    def test_generated_maps(self, make):
+        vm = make()
+        assert np.array_equal(pullback_metric_bracket(vm).lower, bracket_lower_reference(vm))
+
+    @pytest.mark.parametrize("n_src", [30, 60, 90, 150])
+    def test_random_maps(self, n_src):
+        for seed in range(2):
+            vm = random_map(np.random.default_rng(500 * n_src + seed), n_src, max(2, n_src // 4))
+            assert np.array_equal(pullback_metric_bracket(vm).lower, bracket_lower_reference(vm))
 
 
 class TestExact:
@@ -270,7 +288,7 @@ class TestTransfer:
 
 
 class TestSandwichAtLargerSizes:
-    @pytest.mark.parametrize("n_src", [20, 30, 40])
+    @pytest.mark.parametrize("n_src", [20, 30, 40, 60])
     def test_lower_exact_upper_on_seeded_random_maps(self, n_src):
         for seed in range(3):
             rng = np.random.default_rng(1000 * n_src + seed)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_space
 from qrgraph import spaces
-from qrgraph.generators import gen_polar_grid
+from qrgraph.generators import gen_polar_grid, gen_winding
 from qrgraph.modulus import CurveFamily, modulus
 from qrgraph.spaces import (
     Continuum,
@@ -88,6 +88,12 @@ class TestPathMetric:
                         [("a", "b", 1.0), ("b", "c", 1.0)], "path")
         assert exc.value.findings == ("non-finite vertex mass at a",
                                       "non-finite vertex mass at c")
+
+    def test_exactly_symmetric_on_winding_source(self):
+        # both directions of a pair hold the same float, not two sums that
+        # differ in the last bit
+        d = gen_winding(3, levels=6, sectors=8).source.dist
+        assert np.array_equal(d, d.T)
 
     def test_random_graphs_pass_invariants(self):
         # spec invariant: 1000 random graphs, path metric passes the checker
