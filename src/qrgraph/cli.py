@@ -44,7 +44,8 @@ from .measures import (
     pullback_measure,
 )
 from .modulus import CurveFamily, modulus
-from .pullback import ResourceCapExceeded, bld_bdd_transfer_check, factorize, verify_projection
+from .pullback import (EXACT_CAP_DEFAULT, ResourceCapExceeded, bld_bdd_transfer_check,
+                       factorize, verify_projection)
 from .spaces import Curve, ValidationError, load_space, space_from_json, space_to_json
 
 SCHEMA_VERSION = 1
@@ -268,27 +269,21 @@ def cmd_verify(args) -> int:
         cert = bdd_verify(vm, bound=args.constant, seed=args.seed)
     elif prop == "lq":
         cert = lq_verify(vm, bound=args.constant)
-    elif prop == "metric-qr":
+    elif prop in ("metric-qr", "inverse-qr"):
+        inverse = prop == "inverse-qr"
+        profile = inverse_dilatation_profile if inverse else dilatation_profile
         rows = {}
         worst = 1.0
         for x in range(vm.source.n):
-            prof = dilatation_profile(vm, x, radius_cap=args.radius_cap)
-            rows[vm.source.ids[x]] = {"H": prof.h_sup, "h": prof.h_inf, "cap": prof.cap}
+            prof = profile(vm, x, args.radius_cap)  # the radius or scale cap
+            row = rows[vm.source.ids[x]] = {"H": prof.h_sup, "h": prof.h_inf, "cap": prof.cap}
+            if inverse:  # only inverse profiles carry flags
+                row["flags"] = list(prof.flags)
             worst = max(worst, prof.h_sup)
         passed = args.constant is None or worst <= args.constant + 1e-9
-        cert = Certificate("metric_qr", passed and math.isfinite(worst),
-                           constant=worst, details={"profiles": rows})
-    elif prop == "inverse-qr":
-        rows = {}
-        worst = 1.0
-        for x in range(vm.source.n):
-            prof = inverse_dilatation_profile(vm, x, scale_cap=args.radius_cap)
-            rows[vm.source.ids[x]] = {"H": prof.h_sup, "h": prof.h_inf, "cap": prof.cap,
-                                      "flags": list(prof.flags)}
-            worst = max(worst, prof.h_sup)
-        passed = args.constant is None or worst <= args.constant + 1e-9
-        cert = Certificate("inverse_metric_qr", passed and math.isfinite(worst),
-                           constant=worst, details={"profiles": rows})
+        cert = Certificate("inverse_metric_qr" if inverse else "metric_qr",
+                           passed and math.isfinite(worst), constant=worst,
+                           details={"profiles": rows})
     else:  # bqs
         gauge = bqs_gauge(vm, seed=args.seed)
         cert = Certificate("bqs_gauge", True, details={"gauge": gauge.pairs(),
@@ -341,7 +336,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--exact-cap", type=int, default=256,
+        p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
                        help="vertex cap for the exact pullback solver")
         p.add_argument("--radius-cap", type=float, default=None)
 

@@ -19,7 +19,7 @@ from ._tol import TOL, le
 from .certificates import Certificate
 from .covering import VertexMap, _boundary, normal_radius, u_component
 from .pullback import _worst_distortion, enumerate_paths
-from .spaces import Space, _idx, ball_closed, diameter
+from .spaces import Space, _diameters, _idx, ball_closed
 
 __all__ = [
     "DilatationProfile",
@@ -254,24 +254,17 @@ def bqs_gauge(vm: VertexMap, seed: int = 0, budget: int = 60,
     the running-max step function."""
     src = vm.source
     sample = _connected_sample(src, seed, budget)
+    diam = _diameters(src, sample).tolist()
+    img = _diameters(vm.target, sample, vm.f).tolist()
     pts: list[tuple[float, float]] = []
     count = 0
     for a in range(len(sample)):
         for b in range(len(sample)):
-            if a == b:
+            if a == b or not sample[a] & sample[b]:
                 continue
-            e_set, f_set = sample[a], sample[b]
-            if not e_set & f_set:
+            if diam[a] <= TOL or diam[b] <= TOL or img[b] <= TOL:
                 continue
-            de = diameter(src, e_set)
-            df = diameter(src, f_set)
-            if de <= TOL or df <= TOL:
-                continue
-            img_e = diameter(vm.target, frozenset(int(vm.f[v]) for v in e_set))
-            img_f = diameter(vm.target, frozenset(int(vm.f[v]) for v in f_set))
-            if img_f <= TOL:
-                continue
-            pts.append((de / df, img_e / img_f))
+            pts.append((diam[a] / diam[b], img[a] / img[b]))
             count += 1
             if count >= max_pairs:
                 break

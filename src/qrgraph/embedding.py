@@ -21,7 +21,7 @@ import numpy as np
 from ._tol import TOL
 from .certificates import Certificate
 from .covering import VertexMap, max_multiplicity, u_component
-from .pullback import pullback_metric_exact
+from .pullback import EXACT_CAP_DEFAULT, pullback_metric_exact
 from .spaces import Space, ValidationError, _components_idx, _idx, _with_metric
 
 __all__ = [
@@ -50,7 +50,7 @@ def _bt_space(space: Space, cap: int) -> Space:
     return _with_metric(space, pullback_metric_exact(ident, cap=cap))
 
 
-def normalize_for_embedding(vm: VertexMap, cap: int = 256) -> VertexMap:
+def normalize_for_embedding(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> VertexMap:
     """Recast f over the 1-BT target metric and the exact pullback source
     metric, making it 1-BDD; masses are untouched."""
     target_bt = _bt_space(vm.target, cap)
@@ -241,7 +241,7 @@ class EmbeddingResult:
     fiber_lower: float
 
 
-def embed(vm: VertexMap, cap: int = 256) -> EmbeddingResult:
+def embed(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> EmbeddingResult:
     """Full pipeline; distortion of psi = f x phi is measured over all pairs
     under max(d_target, max coordinate difference) against the normalized
     source metric."""

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .covering import VertexMap
+from .pullback import EXACT_CAP_DEFAULT, factorize
 from .spaces import Space
 
 __all__ = [
@@ -154,10 +155,8 @@ def gen_cycle_cover(n: int, m: int) -> VertexMap:
     return VertexMap.build(source, target, assignment)
 
 
-def gen_pullback_space(vm: VertexMap, cap: int = 256) -> Space:
+def gen_pullback_space(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> Space:
     """The pullback Space of the exact factorization, as a first-class Space."""
-    from .pullback import factorize
-
     return factorize(vm, metric="exact", cap=cap).pullback_space
 
 

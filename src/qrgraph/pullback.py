@@ -26,12 +26,12 @@ from .spaces import (
     Space,
     ValidationError,
     _components_idx,
+    _diameters,
     _geodesic,
     _path_length,
     _threshold_sweeps,
     _with_metric,
     ball,
-    diameter,
 )
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
     "ResourceCapExceeded",
 ]
 
-EXACT_CAP_DEFAULT = 14
+EXACT_CAP_DEFAULT = 256
 
 
 class ResourceCapExceeded(ValueError):
@@ -107,9 +107,9 @@ def _forest_path_diameters(vm: VertexMap, forest: list[tuple[int, int]],
             if w not in parent:
                 parent[w], depth[w] = v, depth[v] + 1
                 stack.append(w)
-    out = np.zeros((len(left), len(right)))
-    for p, x in enumerate(left.tolist()):
-        for q, y in enumerate(right.tolist()):
+    imgs = []
+    for x in left.tolist():
+        for y in right.tolist():
             u, v, img = x, y, {f[x], f[y]}
             while u != v:  # climb to the common ancestor
                 if depth[u] >= depth[v]:
@@ -118,8 +118,8 @@ def _forest_path_diameters(vm: VertexMap, forest: list[tuple[int, int]],
                 else:
                     v = parent[v]
                     img.add(f[v])
-            out[p, q] = diameter(vm.target, img)
-    return out
+            imgs.append(img)
+    return _diameters(vm.target, imgs).reshape(len(left), len(right))
 
 
 def pullback_metric_bracket(vm: VertexMap) -> PullbackBracket:
@@ -171,10 +171,11 @@ def _reachable_within(vm: VertexMap, i: int, j: int, cap: float,
 
 
 def _exact_pair(vm: VertexMap, i: int, j: int, lo: float, achieved: float,
-                dvals: np.ndarray) -> float:
+                dvals: np.ndarray, nbhd_at) -> float:
     """Exact pullback distance for one pair via binary search on candidate
     diameters in [lower, achieved], deciding reachability at each.
-    ``achieved`` is the image diameter of a path from i to j."""
+    ``achieved`` is the image diameter of a path from i to j, and
+    ``nbhd_at(cap)`` the target's closed cap-balls."""
     if lo <= TOL:
         return 0.0
     if achieved <= lo + TOL:
@@ -182,14 +183,6 @@ def _exact_pair(vm: VertexMap, i: int, j: int, lo: float, achieved: float,
     cands = [float(d) for d in dvals if lo - TOL <= d <= achieved + TOL]
     if not cands:  # the bracket guarantees the achieved value is a candidate
         return achieved
-    cache: dict[float, list[frozenset[int]]] = {}
-
-    def nbhd_at(cap: float) -> list[frozenset[int]]:
-        if cap not in cache:
-            ok = vm.target.dist <= cap + TOL
-            cache[cap] = [frozenset(int(t) for t in np.nonzero(row)[0]) for row in ok]
-        return cache[cap]
-
     lo_k, hi_k = 0, len(cands) - 1  # cands[hi_k] is reachable via the witness path
     while lo_k < hi_k:
         mid = (lo_k + hi_k) // 2
@@ -217,10 +210,18 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
         )
     lower, achieved = _target_pair_sweeps(vm, witness=True)
     dvals = np.unique(vm.target.dist)
+    cache: dict[float, list[frozenset[int]]] = {}
+
+    def nbhd_at(cap: float) -> list[frozenset[int]]:
+        if cap not in cache:
+            ok = vm.target.dist <= cap + TOL
+            cache[cap] = [frozenset(int(t) for t in np.nonzero(row)[0]) for row in ok]
+        return cache[cap]
+
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            v = _exact_pair(vm, i, j, float(lower[i, j]), float(achieved[i, j]), dvals)
+            v = _exact_pair(vm, i, j, float(lower[i, j]), float(achieved[i, j]), dvals, nbhd_at)
             out[i, j] = out[j, i] = v
     return out
 
@@ -290,13 +291,12 @@ def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | Non
         stack: list[tuple[int, ...]] = [(start,)]
         while stack:
             path = stack.pop()
-            if len(path) > 1:
+            if path[-1] > path[0]:
                 out.append(path)
             if len(path) <= max_edges:
                 for w, _e in space.adj[path[-1]]:
                     if w not in path:
                         stack.append(path + (w,))
-    out = [p for p in out if p[0] < p[-1] or (p[0] == p[-1] and len(p) > 1)]
     if rng is not None and n_random:
         for _ in range(n_random):
             v = int(rng.integers(space.n))
@@ -317,15 +317,12 @@ def _worst_distortion(vm: VertexMap, paths: list[tuple[int, ...]], kind: str):
     attaining it.  Sizes are lengths for kind "bld" and diameters for "bdd".
     A zero on either side is infinite distortion, with that path as witness."""
     src, tgt = vm.source, vm.target
-    if kind == "bld":
-        def sizes(p):
-            return _path_length(src, p), _path_length(tgt, p, vm.f)
+    if kind == "bld":  # lazy: most collapsing maps stop at an early path
+        sizes = ((_path_length(src, p), _path_length(tgt, p, vm.f)) for p in paths)
     else:
-        def sizes(p):
-            return diameter(src, frozenset(p)), diameter(tgt, frozenset(int(vm.f[v]) for v in p))
+        sizes = zip(_diameters(src, paths).tolist(), _diameters(tgt, paths, vm.f).tolist())
     worst, witness = 1.0, None
-    for path in paths:
-        a, b = sizes(path)
+    for path, (a, b) in zip(paths, sizes):
         if a <= TOL or b <= TOL:
             return math.inf, path
         r = max(b / a, a / b)
@@ -374,25 +371,16 @@ def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:
 
     # (iii) diameter identity on enumerated paths
     paths = enumerate_paths(pb, path_budget)
-    worst = 0.0
-    for path in paths:
-        da = diameter(pb, frozenset(path))
-        img = frozenset(int(pi.f[v]) for v in path)
-        di = diameter(pi.target, img)
-        if exact:
-            dev = abs(da - di)
-            if dev > TOL:
-                ok = False
-                if witness is None:
-                    witness = ("bdd", [pb.ids[v] for v in path])
-            worst = max(worst, dev)
-        else:
-            if not (da <= di * 2.0 + TOL and di <= da + TOL):
-                ok = False
-                if witness is None:
-                    witness = ("bdd_bracket", [pb.ids[v] for v in path])
+    da, di = _diameters(pb, paths), _diameters(pi.target, paths, pi.f)
+    dev = np.abs(da - di)
+    bad = dev > TOL if exact else ~((da <= di * 2.0 + TOL) & (di <= da + TOL))
+    if bad.any():
+        ok = False
+        if witness is None:
+            witness = ("bdd" if exact else "bdd_bracket",
+                       [pb.ids[v] for v in paths[int(np.argmax(bad))]])
     details["paths_checked"] = len(paths)
-    details["bdd_worst_deviation"] = worst
+    details["bdd_worst_deviation"] = float(dev.max(initial=0.0)) if exact else 0.0
     return Certificate(name="projection_fine_properties", passed=ok, constant=1.0,
                        witness=witness, details=details, flags=tuple(flags))
 

@@ -3,7 +3,8 @@
 A Space is a connected graph with positive edge lengths, nonnegative vertex
 masses, and a distance matrix that is either the all-pairs shortest-path
 metric of the graph ("path metric") or an explicitly supplied metric over the
-same vertex set.  All objects are immutable after construction; every
+same vertex set.  An explicit metric may be a pseudometric: d(a, b) = 0 is
+accepted for a != b.  All objects are immutable after construction; every
 operation is a pure function.
 
 A path metric is computed on the first read of ``Space.dist`` and cached, so
@@ -415,8 +416,26 @@ def diameter(space: Space, members: Iterable[int] | Iterable[str]) -> float:
     idx = [_idx(space, v) for v in members]
     if not idx:
         raise ValueError("diameter of empty set")
-    sub = space.dist[np.ix_(idx, idx)]
-    return float(sub.max())
+    return float(_diameters(space, [idx])[0])
+
+
+def _diameters(space: Space, sets: Sequence[Iterable[int]],
+               f: np.ndarray | None = None) -> np.ndarray:
+    """Diameter of each non-empty index collection in ``sets`` or, given a
+    vertex map ``f`` into ``space``, of its image; one gather per group of
+    equal-size collections.  The diagonal is read too: an explicit metric
+    may have |d(v, v)| <= TOL."""
+    sets = [tuple(s) for s in sets]
+    out = np.empty(len(sets))
+    groups: dict[int, list[int]] = {}
+    for k, s in enumerate(sets):
+        groups.setdefault(len(s), []).append(k)
+    for ks in groups.values():
+        idx = np.array([sets[k] for k in ks], dtype=np.intp)
+        if f is not None:
+            idx = f[idx]
+        out[ks] = space.dist[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from qrgraph._tol import TOL
 from qrgraph.covering import VertexMap
+from qrgraph.dilatation import _connected_sample
 from qrgraph.generators import (
     gen_cycle,
     gen_cycle_cover,
@@ -15,6 +17,7 @@ from qrgraph.generators import (
     gen_winding,
     identity_map,
 )
+from qrgraph.pullback import enumerate_paths
 from qrgraph.spaces import Space
 
 
@@ -92,6 +95,85 @@ def bracket_lower_reference(vm: VertexMap) -> np.ndarray:
             key = np.maximum(dY[vm.f, int(vm.f[i])], dY[vm.f, int(vm.f[j])])
             lower[i, j] = lower[j, i] = minimax_path_reference(vm.source, key, i, j)
     return lower
+
+
+def diameter_reference(space: Space, members) -> float:
+    """Diameter of one index collection from its ``np.ix_`` submatrix: the
+    per-set read the library made before its batched diameter kernel."""
+    idx = [int(v) for v in members]
+    return float(space.dist[np.ix_(idx, idx)].max())
+
+
+def bdd_worst_reference(vm: VertexMap, paths) -> tuple[float, tuple[int, ...] | None]:
+    """Worst BDD distortion over the paths and the path attaining it, with
+    two reference diameters per path (source set and image set)."""
+    worst, witness = 1.0, None
+    for path in paths:
+        a = diameter_reference(vm.source, frozenset(path))
+        b = diameter_reference(vm.target, frozenset(int(vm.f[v]) for v in path))
+        if a <= TOL or b <= TOL:
+            return math.inf, path
+        r = max(b / a, a / b)
+        if r > worst:
+            worst, witness = r, path
+    return worst, witness
+
+
+def projection_bdd_reference(fact, path_budget: int = 4):
+    """Part (iii) of ``verify_projection`` path by path: whether the 1-BDD
+    identity holds on every enumerated path, the first failing path as a
+    witness, and the worst deviation (exact metric only, else 0)."""
+    pi, pb = fact.projection, fact.pullback_space
+    exact = fact.metric_choice == "exact"
+    ok, witness, worst = True, None, 0.0
+    for path in enumerate_paths(pb, path_budget):
+        da = diameter_reference(pb, frozenset(path))
+        di = diameter_reference(pi.target, frozenset(int(pi.f[v]) for v in path))
+        if exact:
+            bad = abs(da - di) > TOL
+            worst = max(worst, abs(da - di))
+        else:
+            bad = not (da <= di * 2.0 + TOL and di <= da + TOL)
+        if bad:
+            ok = False
+            if witness is None:
+                witness = ("bdd" if exact else "bdd_bracket", [pb.ids[v] for v in path])
+    return ok, witness, worst
+
+
+def bqs_pairs_reference(vm: VertexMap, seed: int = 0, budget: int = 60,
+                        max_pairs: int = 4000) -> list[tuple[float, float]]:
+    """The BQS gauge's (support, value) steps with four reference diameters
+    per intersecting continuum pair."""
+    src = vm.source
+    sample = _connected_sample(src, seed, budget)
+    pts = []
+    for a in range(len(sample)):
+        for b in range(len(sample)):
+            e_set, f_set = sample[a], sample[b]
+            if a == b or not e_set & f_set:
+                continue
+            de, df = diameter_reference(src, e_set), diameter_reference(src, f_set)
+            if de <= TOL or df <= TOL:
+                continue
+            img_e = diameter_reference(vm.target, {int(vm.f[v]) for v in e_set})
+            img_f = diameter_reference(vm.target, {int(vm.f[v]) for v in f_set})
+            if img_f <= TOL:
+                continue
+            pts.append((de / df, img_e / img_f))
+            if len(pts) >= max_pairs:
+                break
+        if len(pts) >= max_pairs:
+            break
+    steps: list[list[float]] = []
+    running = 0.0
+    for t, ratio in sorted(pts):
+        running = max(running, ratio)
+        if steps and abs(t - steps[-1][0]) <= TOL:
+            steps[-1][1] = running
+        else:
+            steps.append([t, running])
+    return [(t, v) for t, v in steps]
 
 
 def path_image_diameter_oracle(vm: VertexMap, i: int, j: int) -> float:
