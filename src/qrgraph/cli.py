@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
+from ._tol import TOL
 from .certificates import Certificate, _jsonable
 from .covering import load_map, map_to_json
 from .dilatation import (
@@ -326,6 +327,15 @@ def cmd_embed(args) -> int:
     return EXIT_OK if res.injective else EXIT_VALIDATION
 
 
+def _radius_cap(text: str) -> float:
+    """A radius cap above TOL; NaN and smaller values leave every
+    neighbourhood without its own centre."""
+    value = float(text)
+    if not value > TOL:
+        raise argparse.ArgumentTypeError(f"radius cap must exceed {TOL}: {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = _Parser(prog="qrgraph",
                      description="pullback metrics, discrete modulus and "
@@ -335,10 +345,10 @@ def main(argv=None) -> int:
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-6)
+
+    def exact_cap(p):
         p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
                        help="vertex cap for the exact pullback solver")
-        p.add_argument("--radius-cap", type=float, default=None)
 
     p = sub.add_parser("validate", help="validate a space or map JSON file")
     p.add_argument("file")
@@ -360,12 +370,14 @@ def main(argv=None) -> int:
     p.add_argument("--r1", type=float, default=math.e)
     p.add_argument("--map", default=None, help="input map for pullback_space")
     common(p)
+    exact_cap(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("pullback", help="pullback metric and factorization report")
     p.add_argument("--map", required=True)
     p.add_argument("--metric", choices=["exact", "lower"], default="exact")
     common(p)
+    exact_cap(p)
     p.set_defaults(fn=cmd_pullback)
 
     p = sub.add_parser("measure", help="pullback measure, Jacobians, conditions N")
@@ -381,6 +393,7 @@ def main(argv=None) -> int:
     p.add_argument("--weight", default=None,
                    help="JSON file of vertex weights (e.g. a K_O/K_I field) "
                         "for the weighted modulus")
+    p.add_argument("--tol", type=float, default=1e-6)
     common(p)
     p.set_defaults(fn=cmd_modulus)
 
@@ -389,12 +402,16 @@ def main(argv=None) -> int:
     p.add_argument("--property", required=True,
                    choices=["bld", "bdd", "lq", "metric-qr", "inverse-qr", "bqs"])
     p.add_argument("--constant", type=float, default=None)
+    p.add_argument("--radius-cap", type=_radius_cap, default=None,
+                   help="radius (metric-qr) or scale (inverse-qr) cap; "
+                        "a number above 1e-9, or inf")
     common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("embed", help="bi-Lipschitz embedding pipeline")
     p.add_argument("--map", required=True)
     common(p)
+    exact_cap(p)
     p.set_defaults(fn=cmd_embed)
 
     try:

@@ -4,6 +4,14 @@ A VertexMap simulates a discrete, open branched covering: it is total,
 surjective, and edge-compatible (source edges map to target edges or
 collapse).  Openness is not assumed but certified per vertex and radius via
 the image-of-normal-neighborhood check.
+
+Every normal neighbourhood U(x, f, r), the x-component of f^-1(B(f(x), r)),
+is read off one level row.  The level of a source vertex v is the minimax,
+over source paths from x to v, of d_Y(f(x), f(.)), both ends included; then
+v lies in U(x, f, r) iff its level is < r - TOL, the same strict comparison
+with the same tolerance as the open ball B(f(x), r).  One threshold sweep per
+image f(x) gives the rows of every x over it, so a loop over radii compares
+one row against each radius and never searches the graph again.
 """
 from __future__ import annotations
 
@@ -19,8 +27,8 @@ from .spaces import (
     Continuum,
     Space,
     ValidationError,
-    _component_of,
     _idx,
+    _threshold_sweeps,
     ball,
     load_space,
 )
@@ -127,42 +135,68 @@ def max_multiplicity(vm: VertexMap, members: Iterable[int] | None = None) -> int
     return int(counts.max(initial=0))
 
 
-def _preimage(vm: VertexMap, targets: frozenset[int]) -> frozenset[int]:
-    if not targets:
-        return frozenset()
-    mask = np.isin(vm.f, sorted(targets))
-    return frozenset(int(k) for k in np.nonzero(mask)[0])
+def _u_levels(vm: VertexMap, xs: Sequence[int]) -> np.ndarray:
+    """Row k: the level of every source vertex for the centre xs[k], so that
+    v lies in U(xs[k], f, r) iff row[v] < r - TOL.  The rows of the centres
+    over one image come from one threshold sweep."""
+    xs = [int(x) for x in xs]
+    groups: dict[int, list[int]] = {}
+    for k, x in enumerate(xs):
+        groups.setdefault(int(vm.f[x]), []).append(k)
+    dY = vm.target.dist
+    jobs = ((dY[z][vm.f], [xs[k] for k in ks], range(vm.source.n)) for z, ks in groups.items())
+    level = np.empty((len(xs), vm.source.n))
+    for (z, ks), (vals, _forest) in zip(groups.items(), _threshold_sweeps(vm.source, jobs)):
+        vals[np.arange(len(ks)), [xs[k] for k in ks]] = dY[z, z]
+        level[ks] = vals
+    return level
+
+
+def _image_counts(vm: VertexMap, inside: np.ndarray) -> np.ndarray:
+    """N(y, f, U) for every vertex mask U along the last axis of ``inside``
+    and every target vertex y."""
+    masks = inside.reshape(-1, inside.shape[-1])
+    rows, cols = np.nonzero(masks)
+    counts = np.bincount(rows * vm.target.n + vm.f[cols], minlength=len(masks) * vm.target.n)
+    return counts.reshape(*inside.shape[:-1], vm.target.n)
 
 
 def u_component(vm: VertexMap, x: int | str, r: float) -> Continuum:
-    """U(x, f, r): the x-component of f^-1(B(f(x), r))."""
+    """U(x, f, r): the x-component of f^-1(B(f(x), r)).  Raises ValueError
+    when x lies outside its own ball, as it does for every r <= 0 or NaN."""
     xi = _idx(vm.source, x)
-    if r <= 0:
-        raise ValueError("u_component requires r > 0")
-    b = ball(vm.target, vm.target.ids[int(vm.f[xi])], r)
-    pre = _preimage(vm, b)
-    comp = _component_of(vm.source, pre, xi)
-    return Continuum(vm.source, comp)
+    row = _u_levels(vm, [xi])[0]
+    if not row[xi] < r - TOL:
+        raise ValueError(f"u_component: {vm.source.ids[xi]} lies outside B(f(x), {r})")
+    return Continuum(vm.source, frozenset(np.flatnonzero(row < r - TOL).tolist()))
+
+
+def _local_indices(vm: VertexMap, xs: Sequence[int]) -> np.ndarray:
+    """i(x, f) for each x of xs: the least multiplicity of U(x, f, r) over
+    the candidate radii at f(x).  U grows with r, so the least is at the
+    smallest radius."""
+    xs = list(xs)
+    level = _u_levels(vm, xs)
+    images = vm.f[xs]
+    out = np.empty(len(xs), dtype=int)
+    for z in np.unique(images).tolist():
+        ks = images == z
+        radii = vm.target.ball_radii(z)
+        if not radii:  # single-vertex target
+            out[ks] = max_multiplicity(vm)
+            continue
+        out[ks] = _image_counts(vm, level[ks] < radii[0] - TOL).max(axis=1)
+    return out
 
 
 def local_index(vm: VertexMap, x: int | str) -> int:
     """i(x, f): min over candidate radii of the multiplicity of U(x, f, r)."""
-    xi = _idx(vm.source, x)
-    radii = vm.target.ball_radii(int(vm.f[xi]))
-    if not radii:  # single-vertex target
-        return max_multiplicity(vm)
-    best = None
-    for r in radii:
-        n = max_multiplicity(vm, u_component(vm, xi, r).members)
-        best = n if best is None else min(best, n)
-        if best == 1:
-            break
-    return best
+    return int(_local_indices(vm, [_idx(vm.source, x)])[0])
 
 
 def branch_set(vm: VertexMap) -> frozenset[int]:
     """{x : i(x, f) > 1}."""
-    return frozenset(x for x in range(vm.source.n) if local_index(vm, x) > 1)
+    return frozenset(np.flatnonzero(_local_indices(vm, range(vm.source.n)) > 1).tolist())
 
 
 def openness_certificate(vm: VertexMap, x: int | str, r: float) -> tuple[bool, dict]:
@@ -209,72 +243,43 @@ def normal_radius(vm: VertexMap, x: int | str) -> tuple[float, dict]:
     Returns (R, record).  If no radius passes, returns the smallest positive
     candidate radius flagged "degenerate".
     """
-    src, tgt = vm.source, vm.target
-    xi = _idx(src, x)
-    z = int(vm.f[xi])
+    tgt = vm.target
+    z = int(vm.f[_idx(vm.source, x)])
     m_z = _fiber_separation(vm, z) / 6.0
     radii = tgt.ball_radii(z)
     if not radii:
         return TOL, {"degenerate": True, "M_z": m_z}
-    fib = sorted(vm.fiber(z))
-    comps_hist: list[dict[int, frozenset[int]]] = []
-    last_rec: dict = {}
-    n_pass = 0
-    for r in radii:
-        b = ball(tgt, tgt.ids[z], r)
-        pre = _preimage(vm, b)
-        comps = {xf: _component_of(src, pre, xf) for xf in fib}
-        sets = [comps[xf] for xf in fib]
-        p2 = frozenset().union(*sets) == pre and all(
-            a.isdisjoint(c) for i, a in enumerate(sets) for c in sets[i + 1:]
-        )
-        p3 = all(
-            multiplicity(vm, y) == sum(multiplicity(vm, y, s) for s in sets) for y in b
-        )
-        p4 = all(frozenset(int(vm.f[v]) for v in s) == b for s in sets)
-        p8 = True
-        for earlier in comps_hist + [comps]:
-            for u1 in earlier.values():
-                for u2 in sets:
-                    if not (u1 <= u2 or u1.isdisjoint(u2)):
-                        p8 = False
-        rec = {"p2": p2, "p3": p3, "p4": p4, "p8": p8}
-        if all(rec.values()):
-            comps_hist.append(comps)
-            last_rec = rec
-            n_pass += 1
-        else:
-            if n_pass == 0:
-                last_rec = rec
-            break
-    if n_pass == 0:
-        rec = dict(last_rec)
-        rec["degenerate"] = True
-        rec["M_z"] = m_z
-        return radii[0], rec
-    r_star = radii[n_pass - 1]
-    rec = dict(last_rec)
-    rec.update(_extra_props_at(vm, z, r_star, comps_hist[-1]))
-    rec["degenerate"] = False
+    cut = np.array(radii)[:, None] - TOL
+    level = _u_levels(vm, sorted(vm.fiber(z)))
+    comps = level[None] < cut[:, :, None]  # (radius, fiber, vertex)
+    balls = tgt.dist[z] < cut
+    counts = _image_counts(vm, comps)
+    mult = np.bincount(vm.f, minlength=tgt.n)
+    p2 = (comps.sum(axis=1) == balls[:, vm.f]).all(axis=1)
+    p3 = ((counts.sum(axis=1) == mult) | ~balls).all(axis=1)
+    p4 = ((counts > 0) == balls[:, None]).all(axis=(1, 2))
+    # p8 at radius i: every component at a radius j <= i is nested in or
+    # disjoint from every component at radius i, that is, the levels for the
+    # centre of the latter do not straddle the cut at r_i on the former
+    crossing = np.zeros((len(radii), len(radii)), dtype=bool)  # (j, i)
+    for row in level:
+        lo = np.where(comps, row, np.inf).min(axis=2)[..., None]  # (j, component, 1)
+        hi = np.where(comps, row, -np.inf).max(axis=2)[..., None]
+        crossing |= ((lo < cut[:, 0]) & (hi >= cut[:, 0])).any(axis=1)
+    p8 = ~np.triu(crossing).any(axis=0)
+    passed = p2 & p3 & p4 & p8
+    n_pass = int(passed.argmin()) if not passed.all() else len(radii)
+    i = max(n_pass - 1, 0)
+    rec = {"p2": bool(p2[i]), "p3": bool(p3[i]), "p4": bool(p4[i]), "p8": bool(p8[i])}
+    if n_pass:
+        # reported-only properties (1), (5), (6)/(7) at the selected radius;
+        # (6) asks f to be injective on each multiplicity class of each
+        # component, and two points with one image share their class
+        p6 = bool((counts[i] <= 1).all())
+        rec.update({"p1": True, "p5": bool((mult[balls[i]] >= mult[z]).all()), "p6": p6, "p7": p6})
+    rec["degenerate"] = not n_pass
     rec["M_z"] = m_z
-    return r_star, rec
-
-
-def _extra_props_at(vm: VertexMap, z: int, r: float, comps: dict[int, frozenset[int]]) -> dict:
-    """Reported-only properties (1),(5),(6)/(7) at the selected radius."""
-    b = ball(vm.target, vm.target.ids[z], r)
-    nz = multiplicity(vm, z)
-    p5 = all(multiplicity(vm, y) >= nz for y in b)
-    p6 = True
-    mult_of = np.bincount(vm.f, minlength=vm.target.n)
-    for u in comps.values():
-        by_count: dict[int, list[int]] = {}
-        for v in sorted(u):
-            by_count.setdefault(int(mult_of[vm.f[v]]), []).append(int(vm.f[v]))
-        for imgs in by_count.values():
-            if len(imgs) != len(set(imgs)):
-                p6 = False
-    return {"p1": True, "p5": p5, "p6": p6, "p7": p6}
+    return radii[i], rec
 
 
 def normal_radius_table(vm: VertexMap) -> NormalRadiusTable:
@@ -320,17 +325,14 @@ def decompose_fibers(vm: VertexMap, domain: Iterable[int] | Iterable[str], n: in
     d_n_set = frozenset(d_n)
     # injectivity neighborhoods: the largest sweep radius keeping f injective
     # on D_n ∩ U, per anchor vertex, in id order
+    in_d_n = np.isin(np.arange(src.n), d_n)
     covers: list[frozenset[int]] = []
-    for x in d_n:
-        best = frozenset([x])
-        for r in vm.target.ball_radii(int(vm.f[x])):
-            u = u_component(vm, x, r).members & d_n_set
-            imgs = [int(vm.f[v]) for v in sorted(u)]
-            if len(imgs) == len(set(imgs)):
-                best = u
-            else:
-                break
-        covers.append(best)
+    for x, row in zip(d_n, _u_levels(vm, d_n)):
+        radii = np.array(vm.target.ball_radii(int(vm.f[x])))
+        u = (row < radii[:, None] - TOL) & in_d_n
+        # the sets grow with r, so f is injective on a prefix of the radii
+        n_inj = int((_image_counts(vm, u) <= 1).all(axis=1).sum())
+        covers.append(frozenset(np.flatnonzero(u[n_inj - 1]).tolist()) if n_inj else frozenset([x]))
     parts: list[set[int]] = [set() for _ in range(n)]
     for k in range(n):
         taken_images: set[int] = set()

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _boundary, normal_radius, u_component
+from .covering import VertexMap, _boundary, _u_levels, normal_radius, u_component
 from .pullback import _worst_distortion, enumerate_paths
 from .spaces import Space, _diameters, _idx, ball_closed
 
@@ -111,10 +111,10 @@ def inverse_dilatation_profile(vm: VertexMap, x: int | str,
     elif scale_cap > nr + TOL:
         flags.append("nonlocal")
     radii = [s for s in vm.target.ball_radii(int(vm.f[xi])) if le(s, scale_cap)]
+    level = _u_levels(vm, [xi])[0]
     rows = []
     for s in radii:
-        u = u_component(vm, xi, s).members
-        boundary = _boundary(src, u)
+        boundary = _boundary(src, frozenset(np.flatnonzero(level < s - TOL).tolist()))
         if not boundary:
             flags.append(f"empty boundary at s={s}")
             continue

@@ -20,9 +20,9 @@ import numpy as np
 
 from ._tol import TOL
 from .certificates import Certificate
-from .covering import VertexMap, max_multiplicity, u_component
+from .covering import VertexMap, _u_levels, max_multiplicity
 from .pullback import EXACT_CAP_DEFAULT, pullback_metric_exact
-from .spaces import Space, ValidationError, _components_idx, _idx, _with_metric
+from .spaces import Space, ValidationError, _idx, _threshold_sweeps, _with_metric
 
 __all__ = [
     "EmbeddingPlan",
@@ -59,32 +59,29 @@ def normalize_for_embedding(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> Vert
     return VertexMap(source=source_n, target=target_bt, f=vm.f.copy(), check=False)
 
 
-def _component_count(vm: VertexMap, y: int, radius_closed: float) -> int:
-    members = frozenset(
-        int(v) for v in np.nonzero(vm.target.dist[y, vm.f] <= radius_closed + TOL)[0]
-    )
-    if not members:
-        return 0
-    return len(_components_idx(vm.source, members))
-
-
 def rk_radii(vm: VertexMap, k: int) -> tuple[dict[str, float], dict[str, list[float]]]:
     """R^k(y): the smallest transition value R (on the d/5 grid of realized
     target distances from y) at which the preimage of the 5R-ball has at
-    most k components.  Returns (radii, per-vertex transition grids)."""
-    tgt = vm.target
+    most k components.  Returns (radii, per-vertex transition grids).
+
+    The preimage of the closed ball of radius d is {v : key[v] <= d + TOL}
+    with key = d_Y(y, f(.)); its components number its size minus the edges
+    of weight <= d + TOL in the spanning forest of one threshold sweep."""
+    src, tgt = vm.source, vm.target
+    keys = [tgt.dist[y][vm.f] for y in range(tgt.n)]
+    sweeps = _threshold_sweeps(src, ((key, [0], range(src.n)) for key in keys))
     radii: dict[str, float] = {}
     grids: dict[str, list[float]] = {}
-    for y in range(tgt.n):
+    for y, key, (_vals, forest) in zip(range(tgt.n), keys, sweeps):
         dvals = [0.0] + [float(v) for v in np.unique(tgt.dist[y]) if v > TOL]
         grid = [d / 5.0 for d in dvals]
         grids[tgt.ids[y]] = grid
-        chosen = grid[-1]
-        for d, r in zip(dvals, grid):
-            if _component_count(vm, y, d) <= k:
-                chosen = r
-                break
-        radii[tgt.ids[y]] = chosen
+        ends = np.array(forest, dtype=np.intp).reshape(-1, 2)
+        closed = np.array(dvals)[:, None] + TOL
+        weight = np.maximum(key[ends[:, 0]], key[ends[:, 1]])
+        count = (key <= closed).sum(axis=1) - (weight <= closed).sum(axis=1)
+        hit = np.flatnonzero(count <= k)
+        radii[tgt.ids[y]] = grid[hit[0]] if hit.size else grid[-1]
     return radii, grids
 
 
@@ -156,8 +153,8 @@ def assign_labels(vm: VertexMap, y_net: str, r_k: float) -> tuple[dict[str, int]
     fib = sorted(vm.fiber(y_net))
     sets: list[frozenset[int]] = []
     labels: dict[str, int] = {}
-    for x in fib:
-        u2 = u_component(vm, x, 2.0 * r_k).members
+    for x, level in zip(fib, _u_levels(vm, fib)):
+        u2 = frozenset(np.flatnonzero(level < 2.0 * r_k - TOL).tolist())
         try:
             lab = next(i for i, s in enumerate(sets) if s == u2) + 1
         except StopIteration:

@@ -8,10 +8,10 @@ from typing import Mapping
 
 import numpy as np
 
-from ._tol import le
+from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, normal_radius, u_component
-from .spaces import _idx, _vertex_array, ball
+from .covering import VertexMap, _u_levels, normal_radius
+from .spaces import _idx, _vertex_array
 
 __all__ = [
     "PullbackMeasure",
@@ -143,19 +143,25 @@ def area_inequality_check(
     )
 
 
+def _essential_indices(vm: VertexMap, xi: int, nu, radii) -> list[float]:
+    """f*nu(U(x, f, r)) / nu(B(f(x), r)) at each radius."""
+    nu_arr = _vertex_array(vm.target, nu)
+    level = _u_levels(vm, [xi])[0]
+    brow = vm.target.dist[int(vm.f[xi])]
+    out = []
+    for r in radii:
+        denom = float(nu_arr[brow < r - TOL].sum())
+        num = float(nu_arr[vm.f[level < r - TOL]].sum())
+        out.append((float("inf") if num > 0 else 0.0) if denom <= 0 else num / denom)
+    return out
+
+
 def essential_index(vm: VertexMap, x: int | str, nu=None, r: float | None = None) -> float:
     """f*nu(U(x, f, r)) / nu(B(f(x), r))."""
     xi = _idx(vm.source, x)
     if r is None or r <= 0:
         raise ValueError("essential_index needs r > 0")
-    nu_arr = _vertex_array(vm.target, nu)
-    u = sorted(u_component(vm, xi, r).members)
-    b = sorted(ball(vm.target, vm.target.ids[int(vm.f[xi])], r))
-    denom = float(nu_arr[b].sum())
-    num = float(nu_arr[vm.f[u]].sum())
-    if denom <= 0:
-        return float("inf") if num > 0 else 0.0
-    return num / denom
+    return _essential_indices(vm, xi, nu, [r])[0]
 
 
 def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
@@ -166,7 +172,7 @@ def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
     if cap is None:
         cap, _rec = normal_radius(vm, xi)
     radii = [r for r in vm.target.ball_radii(int(vm.f[xi])) if le(r, cap)]
-    rows = [(r, essential_index(vm, xi, nu, r)) for r in radii]
+    rows = list(zip(radii, _essential_indices(vm, xi, nu, radii)))
     value = max((v for _r, v in rows), default=1.0)
     return value, cap, rows
 

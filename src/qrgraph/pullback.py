@@ -21,7 +21,7 @@ import numpy as np
 
 from ._tol import TOL
 from .certificates import Certificate
-from .covering import VertexMap, u_component
+from .covering import VertexMap, _u_levels
 from .spaces import (
     Space,
     ValidationError,
@@ -31,7 +31,6 @@ from .spaces import (
     _path_length,
     _threshold_sweeps,
     _with_metric,
-    ball,
 )
 
 __all__ = [
@@ -356,17 +355,18 @@ def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:
     # (ii) inclusion chain for all z and candidate r
     lo_factor = 1.0 if exact else 0.5
     checked = 0
-    for z in range(pb.n):
-        radii = sorted(set(pb.ball_radii(z)) | set(pi.target.ball_radii(int(pi.f[z]))))
-        for r in radii:
-            u = set(u_component(pi, z, r).members)
-            b_in = ball(pb, pb.ids[z], lo_factor * r)
-            b_out = ball(pb, pb.ids[z], 2.0 * r)
-            checked += 1
-            if not (b_in <= u and u <= b_out):
-                ok = False
-                if witness is None:
-                    witness = ("inclusion", pb.ids[z], r)
+    for z, level in enumerate(_u_levels(pi, range(pb.n))):
+        radii = np.array(sorted(set(pb.ball_radii(z)) | set(pi.target.ball_radii(int(pi.f[z])))))
+        r = radii[:, None]
+        u = level < r - TOL
+        b_in = pb.dist[z] < lo_factor * r - TOL
+        b_out = pb.dist[z] < 2.0 * r - TOL
+        bad = (b_in & ~u | u & ~b_out).any(axis=1)
+        checked += len(radii)
+        if bad.any():
+            ok = False
+            if witness is None:
+                witness = ("inclusion", pb.ids[z], float(radii[bad.argmax()]))
     details["inclusion_checks"] = checked
 
     # (iii) diameter identity on enumerated paths

@@ -176,6 +176,172 @@ def bqs_pairs_reference(vm: VertexMap, seed: int = 0, budget: int = 60,
     return [(t, v) for t, v in steps]
 
 
+def u_component_reference(vm: VertexMap, x: int, r: float) -> frozenset[int]:
+    """U(x, f, r) by the chain the library used before its level rows: the
+    open target ball, its preimage under f, and a graph search from x inside
+    that preimage."""
+    ball = np.flatnonzero(vm.target.dist[int(vm.f[x])] < r - TOL)
+    pre = frozenset(np.flatnonzero(np.isin(vm.f, ball)).tolist())
+    if x not in pre:
+        raise ValueError("x outside its own ball")
+    comp, stack = {x}, [x]
+    while stack:
+        for w, _e in vm.source.adj[stack.pop()]:
+            if w in pre and w not in comp:
+                comp.add(w)
+                stack.append(w)
+    return frozenset(comp)
+
+
+def _image_count_max(vm: VertexMap, members) -> int:
+    return int(np.bincount(vm.f[sorted(members)], minlength=vm.target.n).max())
+
+
+def branch_set_reference(vm: VertexMap) -> frozenset[int]:
+    """{x : i(x, f) > 1}, with one reference component per candidate radius."""
+    out = set()
+    for x in range(vm.source.n):
+        radii = vm.target.ball_radii(int(vm.f[x]))
+        index = (min(_image_count_max(vm, u_component_reference(vm, x, r)) for r in radii)
+                 if radii else int(np.bincount(vm.f).max()))
+        if index > 1:
+            out.add(x)
+    return frozenset(out)
+
+
+def normal_radius_reference(vm: VertexMap, x: int) -> tuple[float, dict]:
+    """The normal radius and its property record, by reference components
+    at every candidate radius, checked set by set."""
+    tgt = vm.target
+    z = int(vm.f[x])
+    fib = sorted(int(v) for v in np.flatnonzero(vm.f == z))
+    sep = (min(float(vm.source.dist[a, b]) for a in fib for b in fib if a < b)
+           if len(fib) > 1 else math.inf)
+    radii = tgt.ball_radii(z)
+    if not radii:
+        return TOL, {"degenerate": True, "M_z": sep / 6.0}
+    mult = np.bincount(vm.f, minlength=tgt.n)
+    history: list[list[frozenset[int]]] = []
+    rec: dict = {}
+    for r in radii:
+        ball = frozenset(np.flatnonzero(tgt.dist[z] < r - TOL).tolist())
+        pre = frozenset(np.flatnonzero(np.isin(vm.f, sorted(ball))).tolist())
+        sets = [u_component_reference(vm, xf, r) for xf in fib]
+        images = [[int(vm.f[v]) for v in s] for s in sets]
+        cur = {
+            "p2": frozenset().union(*sets) == pre
+            and all(a.isdisjoint(c) for i, a in enumerate(sets) for c in sets[i + 1:]),
+            "p3": all(mult[y] == sum(im.count(y) for im in images) for y in ball),
+            "p4": all(frozenset(im) == ball for im in images),
+            "p8": all(u1 <= u2 or u1.isdisjoint(u2)
+                      for earlier in history + [sets] for u1 in earlier for u2 in sets),
+        }
+        if not all(cur.values()):
+            if not history:
+                rec = cur
+            break
+        history.append(sets)
+        rec = cur
+        last_ball, last_images = ball, images
+    if not history:
+        return radii[0], {**rec, "degenerate": True, "M_z": sep / 6.0}
+    p6 = all(len(im) == len(set(im)) for im in last_images)
+    rec.update({"p1": True, "p5": all(mult[y] >= mult[z] for y in last_ball),
+                "p6": p6, "p7": p6, "degenerate": False, "M_z": sep / 6.0})
+    return radii[len(history) - 1], rec
+
+
+def decompose_fibers_reference(vm: VertexMap, n: int) -> list[frozenset[int]]:
+    """``decompose_fibers`` over the whole source: the injectivity
+    neighbourhood of each anchor of D_n is the reference component at the
+    largest candidate radius keeping f injective on its part in D_n; the
+    sheets are then filled greedily in anchor order."""
+    counts = np.bincount(vm.f, minlength=vm.target.n)
+    d_n = [v for v in range(vm.source.n) if counts[vm.f[v]] == n]
+    covers = []
+    for x in d_n:
+        best = frozenset([x])
+        for r in vm.target.ball_radii(int(vm.f[x])):
+            u = u_component_reference(vm, x, r) & frozenset(d_n)
+            images = [int(vm.f[v]) for v in u]
+            if len(images) != len(set(images)):
+                break
+            best = u
+        covers.append(best)
+    parts: list[set[int]] = [set() for _ in range(n)]
+    for k in range(n):
+        taken: set[int] = set()
+        earlier = set().union(*parts[:k])
+        for cov in covers:
+            for v in sorted(cov):
+                if v not in earlier and v not in parts[k] and int(vm.f[v]) not in taken:
+                    parts[k].add(v)
+                    taken.add(int(vm.f[v]))
+    return [frozenset(p) for p in parts]
+
+
+def boundary_rows_reference(vm: VertexMap, x: int, radii) -> list:
+    """(s, L*, l*, H*) per radius from the boundary of the reference
+    component, or None where that boundary is empty."""
+    rows = []
+    for s in radii:
+        u = u_component_reference(vm, x, s)
+        bd = [v for v in u if any(w not in u for w, _e in vm.source.adj[v])]
+        if not bd:
+            rows.append(None)
+            continue
+        dists = [float(vm.source.dist[x, v]) for v in bd]
+        big, small = max(dists), min(dists)
+        rows.append((float(s), big, small, big / small if small > 0 else math.inf))
+    return rows
+
+
+def essential_rows_reference(vm: VertexMap, x: int, nu: np.ndarray, radii) -> list:
+    """(r, f*nu(U) / nu(B)) per radius, from reference components."""
+    rows = []
+    for r in radii:
+        u = sorted(u_component_reference(vm, x, r))
+        ball = np.flatnonzero(vm.target.dist[int(vm.f[x])] < r - TOL)
+        denom, num = float(nu[ball].sum()), float(nu[vm.f[u]].sum())
+        rows.append((r, (math.inf if num > 0 else 0.0) if denom <= 0 else num / denom))
+    return rows
+
+
+def rk_component_count_reference(vm: VertexMap, y: int, d: float) -> int:
+    """Components of f^-1(closed B(y, d)), one graph search per component."""
+    left = set(np.flatnonzero(vm.target.dist[y, vm.f] <= d + TOL).tolist())
+    count = 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            for w, _e in vm.source.adj[stack.pop()]:
+                if w in left:
+                    left.discard(w)
+                    stack.append(w)
+    return count
+
+
+def inclusion_reference(fact) -> tuple[bool, tuple | None, int]:
+    """Part (ii) of ``verify_projection`` radius by radius with reference
+    components and ball sets: whether B(z, r) ⊆ U(z, pi, r) ⊆ B(z, 2r)
+    holds throughout (factor 1/2 on the left for a bracket metric), the first
+    failing (z, r), and the number of checks."""
+    pi, pb = fact.projection, fact.pullback_space
+    lo = 1.0 if fact.metric_choice == "exact" else 0.5
+    ok, witness, checked = True, None, 0
+    for z in range(pb.n):
+        for r in sorted(set(pb.ball_radii(z)) | set(pi.target.ball_radii(int(pi.f[z])))):
+            u = u_component_reference(pi, z, r)
+            b_in = frozenset(np.flatnonzero(pb.dist[z] < lo * r - TOL).tolist())
+            b_out = frozenset(np.flatnonzero(pb.dist[z] < 2.0 * r - TOL).tolist())
+            checked += 1
+            if not (b_in <= u <= b_out):
+                ok = False
+                witness = witness or ("inclusion", pb.ids[z], r)
+    return ok, witness, checked
+
+
 def path_image_diameter_oracle(vm: VertexMap, i: int, j: int) -> float:
     """Exhaustive enumeration of simple paths: min over paths of the image
     diameter.  Independent oracle for the exact pullback metric."""

@@ -140,6 +140,31 @@ class TestSubcommands:
     def test_usage_error_64(self, capsys):
         assert run(["bogus-command"]) == 64
 
+    @pytest.mark.parametrize("cap", ["0", "-1", "1e-10", "nan"])
+    @pytest.mark.parametrize("prop", ["metric-qr", "inverse-qr"])
+    def test_radius_cap_without_centre_is_usage_error(self, cover_dir, tmp_path, capsys,
+                                                      cap, prop):
+        code = run(["verify", "--map", cover_dir / "map.json", "--property", prop,
+                    "--radius-cap", cap, "--out", tmp_path / "v"])
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "radius cap" in err
+
+    def test_radius_cap_inf_accepted(self, cover_dir, tmp_path):
+        # an unbounded neighbourhood sees the other sheet, so H is infinite
+        code = run(["verify", "--map", cover_dir / "map.json", "--property", "metric-qr",
+                    "--radius-cap", "inf", "--out", tmp_path / "v"])
+        assert code == 2
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        assert report["certificates"][0]["constant"] == math.inf
+
+    @pytest.mark.parametrize("argv", [["measure", "--tol", "1e-3"],
+                                      ["verify", "--property", "bld", "--exact-cap", "4"],
+                                      ["pullback", "--radius-cap", "1.0"]])
+    def test_option_the_subcommand_does_not_read_is_usage_error(self, cover_dir, tmp_path,
+                                                                argv):
+        assert run([*argv, "--map", cover_dir / "map.json", "--out", tmp_path / "o"]) == 64
+
 
 class TestDeterminism:
     def test_reports_byte_identical_modulo_walltime(self, cover_dir, tmp_path):
