@@ -17,7 +17,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _boundary, _u_levels, normal_radius, u_component
+from .covering import VertexMap, _boundary, _u_levels, normal_radius
 from .pullback import _worst_distortion, enumerate_paths
 from .spaces import Space, _diameters, _idx, ball_closed
 
@@ -61,7 +61,9 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
     Both shells are taken inside the normal neighborhood U(x, f, cap): the
     discrete surrogate of the r -> 0 limit is local, and an unbounded far
     shell would see opposite-sheet fiber points (image distance ~ 0) on any
-    covering map.  ``restrict`` overrides the neighborhood explicitly.
+    covering map.  ``restrict`` overrides the neighborhood explicitly.  A
+    cap that leaves x outside its own ball gives no rows (H = inf), flagged
+    "empty neighbourhood".
     """
     src = vm.source
     xi = _idx(src, x)
@@ -73,7 +75,10 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
             radius_cap, rec = normal_radius(vm, xi)
             if rec.get("degenerate"):
                 flags.append("degenerate cap")
-        restrict = u_component(vm, xi, radius_cap).members
+        level = _u_levels(vm, [xi])[0]
+        if not level[xi] < radius_cap - TOL:  # x outside its own ball
+            return _profile(src.ids[xi], [], radius_cap, flags + ["empty neighbourhood"])
+        restrict = np.flatnonzero(level < radius_cap - TOL).tolist()
     else:
         restrict = frozenset(int(v) for v in restrict)
         if radius_cap is None:

@@ -9,6 +9,11 @@ color it so inflated balls are disjoint within a class, label fiber sheets,
 and sum tent functions of the inflated normal neighborhoods into
 coordinates.  Every quantitative step of the construction is re-checked on
 the instance and reported.
+
+phi is computed for all vertices at once, one (n, c_d (N-1)) array, and
+every pairwise check (injectivity, distortion, the fiber report and the
+composition bound) reads one table of the source pairs at positive
+distance: indices, d, d_Y of the images and the phi gap.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ import numpy as np
 from ._tol import TOL
 from .certificates import Certificate
 from .covering import VertexMap, _u_levels, max_multiplicity
+from .dilatation import bdd_verify
 from .pullback import EXACT_CAP_DEFAULT, pullback_metric_exact
 from .spaces import Space, ValidationError, _idx, _threshold_sweeps, _with_metric
 
@@ -120,28 +126,18 @@ def color_net(vm: VertexMap, k: int, net: Sequence[str] | None = None,
         rk, _g = rk_radii(vm, k)
     if net is None:
         net = build_net(vm, k, rk)
-    idx = [tgt.i(y) for y in net]
-    order = sorted(range(len(idx)), key=lambda a: (-rk[net[a]], net[a]))
+    # inflated open balls intersect iff some vertex is in both
+    radii = np.array([2.0 * rk[y] for y in net])
+    balls = tgt.dist[[tgt.i(y) for y in net]] < radii[:, None] - TOL
+    meets = np.dot(balls, balls.T)
+    order = sorted(range(len(net)), key=lambda a: (-rk[net[a]], net[a]))
     color: dict[int, int] = {}
-    used = 0
     for a in order:
-        taken = set()
-        for b in order:
-            if b == a or b not in color:
-                continue
-            # inflated open balls intersect iff some vertex is in both
-            ya, yb = idx[a], idx[b]
-            ra, rb = 2.0 * rk[net[a]], 2.0 * rk[net[b]]
-            inter = np.any((tgt.dist[ya] < ra - TOL) & (tgt.dist[yb] < rb - TOL))
-            if inter:
-                taken.add(color[b])
-        c = 0
-        while c in taken:
-            c += 1
-        color[a] = c
-        used = max(used, c + 1)
+        taken = {c for b, c in color.items() if meets[a, b]}
+        color[a] = next(c for c in range(len(net) + 1) if c not in taken)
+    used = max(color.values(), default=-1) + 1
     classes: list[list[str]] = [[] for _ in range(used)]
-    for a in range(len(idx)):
+    for a in range(len(net)):
         classes[color[a]].append(net[a])
     return [sorted(c) for c in classes], used
 
@@ -199,30 +195,33 @@ def build_plan(vm_norm: VertexMap) -> EmbeddingPlan:
                          nets=nets, classes=classes, labels=labels, neighborhoods=nbhd)
 
 
+def _coordinates(plan: EmbeddingPlan) -> np.ndarray:
+    """phi for every source vertex: row x is phi(plan, x).  Each inflated
+    neighborhood V adds label(V) * min(d*(x, complement of V), R^k) to the
+    rows x inside V, in (net point, V) order; outside V, d(x, complement)
+    is 0."""
+    vm = plan.vm
+    src = vm.source
+    out = np.zeros((src.n, plan.c_d * max(0, plan.n_mult - 1)))
+    for k in range(1, plan.n_mult):
+        for j, cls in enumerate(plan.classes[k]):
+            slot = (k - 1) * plan.c_d + j
+            for y in cls:
+                fib = vm.fiber(y)
+                for v_set in plan.neighborhoods[k][y]:
+                    label = plan.labels[k][y][src.ids[min(v_set & fib)]]
+                    inside = np.zeros(src.n, dtype=bool)
+                    inside[list(v_set)] = True
+                    d_out = src.dist[np.ix_(inside, ~inside)].min(axis=1, initial=math.inf)
+                    out[inside, slot] += label * np.minimum(d_out, plan.rk[k][y])
+    return out
+
+
 def phi(plan: EmbeddingPlan, x: int | str) -> np.ndarray:
     """Coordinate vector of length c_d * (N - 1); slot (k, j) sums, over the
     class-j net points and the distinct inflated neighborhoods V over their
     fibers, label(V) * min(d*(x, complement of V), R^k)."""
-    vm = plan.vm
-    src = vm.source
-    xi = _idx(src, x)
-    out = np.zeros(plan.c_d * max(0, plan.n_mult - 1))
-    for k in range(1, plan.n_mult):
-        for j, cls in enumerate(plan.classes[k]):
-            slot = (k - 1) * plan.c_d + j
-            total = 0.0
-            for y in cls:
-                r_k = plan.rk[k][y]
-                lab_of = plan.labels[k][y]
-                for v_set in plan.neighborhoods[k][y]:
-                    if xi not in v_set:
-                        continue  # d(x, complement) = 0
-                    label = lab_of[src.ids[min(v_set & vm.fiber(y))]]
-                    comp = [v for v in range(src.n) if v not in v_set]
-                    d_out = min((float(src.dist[xi, v]) for v in comp), default=math.inf)
-                    total += label * min(d_out, r_k)
-            out[slot] = total
-    return out
+    return _coordinates(plan)[_idx(plan.vm.source, x)]
 
 
 @dataclass(frozen=True)
@@ -238,63 +237,53 @@ class EmbeddingResult:
     fiber_lower: float
 
 
+def _pairs(vm: VertexMap, coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The source pairs a < b with d(a, b) > TOL in row-major order, as
+    arrays (a, b, d, d_Y(f a, f b), max coordinate difference of phi)."""
+    src = vm.source
+    a, b = np.triu_indices(src.n, 1)
+    dn = src.dist[a, b]
+    keep = dn > TOL
+    a, b, dn = a[keep], b[keep], dn[keep]
+    dy = vm.target.dist[vm.f[a], vm.f[b]]
+    dphi = np.abs(coords[a] - coords[b]).max(axis=1, initial=0.0)
+    return a, b, dn, dy, dphi
+
+
 def embed(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> EmbeddingResult:
     """Full pipeline; distortion of psi = f x phi is measured over all pairs
     under max(d_target, max coordinate difference) against the normalized
     source metric."""
     vm_n = normalize_for_embedding(vm, cap=cap)
-    from .dilatation import bdd_verify
-
     bdd = bdd_verify(vm_n, bound=1.0, curve_budget=3, n_random=30)
     if not bdd.passed:
         raise ValidationError(
             [f"normalized map is not 1-BDD (constant {bdd.constant}); embedding precondition fails"]
         )
-    n_mult = max_multiplicity(vm_n)
-    src, tgt = vm_n.source, vm_n.target
-    if n_mult == 1:
-        coords = {v: np.zeros(0) for v in src.ids}
-        plan = None
-        phis = {src.i(v): np.zeros(0) for v in src.ids}
-    else:
-        plan = build_plan(vm_n)
-        phis = {x: phi(plan, x) for x in range(src.n)}
-        coords = {src.ids[x]: phis[x] for x in range(src.n)}
-    lower, upper = math.inf, 0.0
-    injective = True
-    phi_lip = 0.0
-    fiber_lower = math.inf
-    fiber_report: list[dict] = []
-    for a in range(src.n):
-        for b in range(a + 1, src.n):
-            dn = float(src.dist[a, b])
-            dy = vm_n.image_dist(a, b)
-            dphi = float(np.max(np.abs(phis[a] - phis[b]))) if phis[a].size else 0.0
-            dpsi = max(dy, dphi)
-            if dn <= TOL:
-                continue
-            if dpsi <= TOL:
-                injective = False
-            lower = min(lower, dpsi / dn)
-            upper = max(upper, dpsi / dn)
-            phi_lip = max(phi_lip, dphi / dn)
-            if dy <= TOL:  # fiber pair
-                fiber_lower = min(fiber_lower, dphi / dn)
-                fiber_report.append({
-                    "pair": [src.ids[a], src.ids[b]],
-                    "distance": dn,
-                    "phi_gap": dphi,
-                    "twelve_rule": dn <= 12.0 * dphi + TOL,
-                })
+    src = vm_n.source
+    plan = build_plan(vm_n) if max_multiplicity(vm_n) > 1 else None
+    phis = _coordinates(plan) if plan is not None else np.zeros((src.n, 0))
+    a, b, dn, dy, dphi = _pairs(vm_n, phis)
+    dpsi = np.maximum(dy, dphi)
+    ratio = dpsi / dn
+    lower = float(ratio.min(initial=math.inf))
+    fiber = dy <= TOL
+    fiber_lower = float((dphi[fiber] / dn[fiber]).min(initial=math.inf))
+    fiber_report = [
+        {"pair": [src.ids[i], src.ids[j]], "distance": d, "phi_gap": g,
+         "twelve_rule": d <= 12.0 * g + TOL}
+        for i, j, d, g in zip(a[fiber].tolist(), b[fiber].tolist(),
+                              dn[fiber].tolist(), dphi[fiber].tolist())
+    ]
     return EmbeddingResult(
         plan=plan,
-        coords=coords,
+        coords={src.ids[x]: phis[x] for x in range(src.n)},
         image={v: vm_n.apply(v) for v in src.ids},
-        injective=injective,
+        injective=not np.any(dpsi <= TOL),
         lower=lower if math.isfinite(lower) else 1.0,
-        upper=upper,
+        upper=float(ratio.max(initial=0.0)),
         fiber_report=fiber_report,
-        phi_lipschitz=phi_lip,
+        phi_lipschitz=float((dphi / dn).max(initial=0.0)),
         fiber_lower=fiber_lower if math.isfinite(fiber_lower) else 1.0,
     )
 
@@ -349,19 +338,13 @@ def composition_bound_check(result: EmbeddingResult, eps: float | None = None,
     delta = eps_c / (1.0 + lip_c + eps_c)
     bound = min(eps_c * (1.0 - delta) - lip_c * delta, delta)
     vm = result.plan.vm
-    src = vm.source
-    ok = bound <= result.lower + TOL
+    coords = np.array([result.coords[v] for v in vm.source.ids])
+    a, b, dn, dy, dphi = _pairs(vm, coords)
+    fails = np.flatnonzero(np.maximum(dphi, dy) < bound * dn - TOL)
+    ok = bound <= result.lower + TOL and fails.size == 0
     worst = None
-    for a in range(src.n):
-        for b in range(a + 1, src.n):
-            dn = float(src.dist[a, b])
-            if dn <= TOL:
-                continue
-            dphi = float(np.max(np.abs(result.coords[src.ids[a]] - result.coords[src.ids[b]])))
-            dy = vm.image_dist(a, b)
-            if max(dphi, dy) < bound * dn - TOL:
-                ok = False
-                worst = (src.ids[a], src.ids[b])
+    if fails.size:
+        worst = (vm.source.ids[a[fails[-1]]], vm.source.ids[b[fails[-1]]])
     return Certificate("composition_bound", ok, constant=bound, witness=worst,
                        details={"predicted_lower": bound, "measured_lower": result.lower,
                                 "phi_lipschitz": lip_c, "fiber_eps": eps_c,

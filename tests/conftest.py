@@ -342,6 +342,121 @@ def inclusion_reference(fact) -> tuple[bool, tuple | None, int]:
     return ok, witness, checked
 
 
+def color_net_reference(vm: VertexMap, k: int, net, rk) -> tuple[list[list[str]], int]:
+    """Greedy coloring of the inflated balls {2B^k_y}, rebuilding both ball
+    masks for every pair of net points."""
+    tgt = vm.target
+    idx = [tgt.i(y) for y in net]
+    order = sorted(range(len(idx)), key=lambda a: (-rk[net[a]], net[a]))
+    color: dict[int, int] = {}
+    used = 0
+    for a in order:
+        taken = set()
+        for b in order:
+            if b == a or b not in color:
+                continue
+            ya, yb = idx[a], idx[b]
+            ra, rb = 2.0 * rk[net[a]], 2.0 * rk[net[b]]
+            if np.any((tgt.dist[ya] < ra - TOL) & (tgt.dist[yb] < rb - TOL)):
+                taken.add(color[b])
+        c = 0
+        while c in taken:
+            c += 1
+        color[a] = c
+        used = max(used, c + 1)
+    classes: list[list[str]] = [[] for _ in range(used)]
+    for a in range(len(idx)):
+        classes[color[a]].append(net[a])
+    return [sorted(c) for c in classes], used
+
+
+def phi_reference(plan, x: int) -> np.ndarray:
+    """phi(plan, x) one vertex at a time: the fiber and the complement of
+    every inflated neighborhood are rebuilt for each x inside it."""
+    vm = plan.vm
+    src = vm.source
+    out = np.zeros(plan.c_d * max(0, plan.n_mult - 1))
+    for k in range(1, plan.n_mult):
+        for j, cls in enumerate(plan.classes[k]):
+            total = 0.0
+            for y in cls:
+                r_k = plan.rk[k][y]
+                for v_set in plan.neighborhoods[k][y]:
+                    if x not in v_set:
+                        continue
+                    label = plan.labels[k][y][src.ids[min(v_set & vm.fiber(y))]]
+                    comp = [v for v in range(src.n) if v not in v_set]
+                    d_out = min((float(src.dist[x, v]) for v in comp), default=math.inf)
+                    total += label * min(d_out, r_k)
+            out[(k - 1) * plan.c_d + j] = total
+    return out
+
+
+def embed_pairs_reference(vm: VertexMap, phis) -> dict:
+    """The distortion scan of ``embed`` over source pairs in Python:
+    injectivity, lower/upper distortion, phi-Lipschitz constant and the
+    fiber report, from the normalized map and one phi row per vertex."""
+    src = vm.source
+    lower, upper = math.inf, 0.0
+    injective = True
+    phi_lip = 0.0
+    fiber_lower = math.inf
+    fiber_report: list[dict] = []
+    for a in range(src.n):
+        for b in range(a + 1, src.n):
+            dn = float(src.dist[a, b])
+            dy = vm.image_dist(a, b)
+            dphi = float(np.max(np.abs(phis[a] - phis[b]))) if phis[a].size else 0.0
+            dpsi = max(dy, dphi)
+            if dn <= TOL:
+                continue
+            if dpsi <= TOL:
+                injective = False
+            lower = min(lower, dpsi / dn)
+            upper = max(upper, dpsi / dn)
+            phi_lip = max(phi_lip, dphi / dn)
+            if dy <= TOL:
+                fiber_lower = min(fiber_lower, dphi / dn)
+                fiber_report.append({
+                    "pair": [src.ids[a], src.ids[b]],
+                    "distance": dn,
+                    "phi_gap": dphi,
+                    "twelve_rule": dn <= 12.0 * dphi + TOL,
+                })
+    return {
+        "injective": injective,
+        "lower": lower if math.isfinite(lower) else 1.0,
+        "upper": upper,
+        "fiber_report": fiber_report,
+        "phi_lipschitz": phi_lip,
+        "fiber_lower": fiber_lower if math.isfinite(fiber_lower) else 1.0,
+    }
+
+
+def composition_bound_reference(result, eps=None, lip=None) -> tuple[bool, float, tuple | None]:
+    """(passed, bound, witness) of ``composition_bound_check`` over source
+    pairs in Python; the witness is the last failing pair."""
+    lip_c = result.phi_lipschitz if lip is None else lip
+    eps_c = result.fiber_lower if eps is None else eps
+    delta = eps_c / (1.0 + lip_c + eps_c)
+    bound = min(eps_c * (1.0 - delta) - lip_c * delta, delta)
+    vm = result.plan.vm
+    src = vm.source
+    ok = bound <= result.lower + TOL
+    worst = None
+    for a in range(src.n):
+        for b in range(a + 1, src.n):
+            dn = float(src.dist[a, b])
+            if dn <= TOL:
+                continue
+            dphi = float(np.max(np.abs(result.coords[src.ids[a]] - result.coords[src.ids[b]])))
+            dy = vm.image_dist(a, b)
+            if max(dphi, dy) < bound * dn - TOL:
+                ok = False
+                worst = (src.ids[a], src.ids[b])
+    return ok, bound, worst
+
+
 def path_image_diameter_oracle(vm: VertexMap, i: int, j: int) -> float:
     """Exhaustive enumeration of simple paths: min over paths of the image
     diameter.  Independent oracle for the exact pullback metric."""

@@ -3,9 +3,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qrgraph.cli import main
+from qrgraph.spaces import load_space
 
 
 def run(args) -> int:
@@ -155,6 +157,24 @@ class TestSubcommands:
         code = run(["verify", "--map", cover_dir / "map.json", "--property", "metric-qr",
                     "--radius-cap", "inf", "--out", tmp_path / "v"])
         assert code == 2
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        assert report["certificates"][0]["constant"] == math.inf
+
+    def test_radius_cap_below_target_diagonal_is_empty_neighbourhood(self, cover_dir,
+                                                                      tmp_path, capsys):
+        # the target's explicit diagonal 1e-9 is a valid metric, and a cap of
+        # 1.5e-9 leaves every x outside its own ball: no rows, H infinite
+        target = cover_dir / "target.json"
+        obj = json.loads(target.read_text())
+        dist = np.array(load_space(str(target)).dist)
+        dist[np.diag_indices_from(dist)] = 1e-9
+        obj["dist"] = dist.tolist()
+        target.write_text(json.dumps(obj))
+        assert run(["validate", cover_dir / "map.json", "--out", tmp_path / "val"]) == 0
+        code = run(["verify", "--map", cover_dir / "map.json", "--property", "metric-qr",
+                    "--radius-cap", "1.5e-9", "--out", tmp_path / "v"])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
         report = json.loads((tmp_path / "v" / "report.json").read_text())
         assert report["certificates"][0]["constant"] == math.inf
 
