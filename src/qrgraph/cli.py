@@ -47,7 +47,8 @@ from .measures import (
 from .modulus import CurveFamily, modulus
 from .pullback import (EXACT_CAP_DEFAULT, ResourceCapExceeded, bld_bdd_transfer_check,
                        factorize, verify_projection)
-from .spaces import Curve, ValidationError, load_space, space_from_json, space_to_json
+from .spaces import (Curve, ValidationError, _is_number, _read_json, load_space,
+                     space_from_json, space_to_json)
 
 SCHEMA_VERSION = 1
 
@@ -102,8 +103,7 @@ def _write_csv(args, name: str, header: list[str], rows: list[list]) -> None:
 
 
 def _load_any(path: str):
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     if isinstance(obj, dict) and "pairs" in obj:
         return "map", load_map(path)
     return "space", space_from_json(obj)
@@ -239,12 +239,11 @@ def _family_from_json(space, obj) -> CurveFamily:
 def cmd_modulus(args) -> int:
     t0 = time.time()
     space = load_space(args.space)
-    with open(args.family) as fh:
-        fam = _family_from_json(space, json.load(fh))
-    weight = None
-    if args.weight is not None:
-        with open(args.weight) as fh:
-            weight = {str(k): float(v) for k, v in json.load(fh).items()}
+    fam = _family_from_json(space, _read_json(args.family))
+    weight = None if args.weight is None else _read_json(args.weight)
+    if weight is not None and not (isinstance(weight, dict) and set(space.ids) <= set(weight)
+                                   and all(_is_number(weight[v]) for v in space.ids)):
+        raise ValidationError([f"{args.weight}: must map every vertex id to a number"])
     res = modulus(fam, p=args.p, weight=weight, tol=args.tol, max_iter=args.max_iter)
     rows = [[f"{space.ids[i]}-{space.ids[j]}", float(res.density.values[e])]
             for e, (i, j, _ln) in enumerate(space.edges)]
@@ -274,9 +273,8 @@ def cmd_verify(args) -> int:
         worst = 1.0
         for x in range(vm.source.n):
             prof = profile(vm, x, args.radius_cap)  # the radius or scale cap
-            row = rows[vm.source.ids[x]] = {"H": prof.h_sup, "h": prof.h_inf, "cap": prof.cap}
-            if inverse:  # only inverse profiles carry flags
-                row["flags"] = list(prof.flags)
+            rows[vm.source.ids[x]] = {"H": prof.h_sup, "h": prof.h_inf, "cap": prof.cap,
+                                      "flags": list(prof.flags)}
             worst = max(worst, prof.h_sup)
         passed = args.constant is None or worst <= args.constant + 1e-9
         cert = Certificate("inverse_metric_qr" if inverse else "metric_qr",

@@ -15,7 +15,6 @@ one row against each radius and never searches the graph again.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -28,6 +27,7 @@ from .spaces import (
     Space,
     ValidationError,
     _idx,
+    _read_json,
     _threshold_sweeps,
     ball,
     load_space,
@@ -414,22 +414,33 @@ def map_to_json(vm: VertexMap, source_path: str, target_path: str) -> dict:
     }
 
 
+def _check_map_json(obj) -> None:
+    """Raise the findings of a map JSON object: exactly the map fields, file
+    names for source and target, and a list of [x, y] pairs of string ids."""
+    if not (isinstance(obj, dict) and set(obj) == _MAP_FIELDS):
+        raise ValidationError([f"map JSON must be an object with the fields {sorted(_MAP_FIELDS)}"])
+    findings = []
+    if not all(isinstance(obj[k], str) for k in ("source", "target")):
+        findings.append("map source and target must be file names")
+    if not isinstance(obj["pairs"], list):
+        findings.append("pairs must be a list of [x, y] records")
+    else:
+        findings.extend(f"pair records must be [x, y] with string ids: {rec}"
+                        for rec in obj["pairs"]
+                        if not (isinstance(rec, list) and len(rec) == 2
+                                and all(isinstance(v, str) for v in rec)))
+    if findings:
+        raise ValidationError(findings)
+
+
 def map_from_json(obj: dict, source: Space, target: Space) -> VertexMap:
-    if set(obj) != _MAP_FIELDS:
-        raise ValidationError([f"map JSON fields must be exactly {sorted(_MAP_FIELDS)}"])
-    assignment = {}
-    for rec in obj["pairs"]:
-        if not (isinstance(rec, list) and len(rec) == 2):
-            raise ValidationError([f"pair records must be [x, y]: {rec}"])
-        assignment[rec[0]] = rec[1]
-    return VertexMap.build(source, target, assignment)
+    _check_map_json(obj)
+    return VertexMap.build(source, target, dict(obj["pairs"]))
 
 
 def load_map(path: str) -> VertexMap:
-    with open(path) as fh:
-        obj = json.load(fh)
-    if set(obj) != _MAP_FIELDS:
-        raise ValidationError([f"map JSON fields must be exactly {sorted(_MAP_FIELDS)}"])
+    obj = _read_json(path)
+    _check_map_json(obj)
     base = os.path.dirname(os.path.abspath(path))
     source = load_space(os.path.join(base, obj["source"]))
     target = load_space(os.path.join(base, obj["target"]))

@@ -149,19 +149,25 @@ def _curve_row(space: Space, verts: Sequence[int], f: np.ndarray | None = None) 
 
 
 def _dijkstra_curve(space: Space, cost: np.ndarray, e_set: frozenset[int],
-                    f_set: frozenset[int], carrier: frozenset[int]):
-    """Cheapest E -> F path within the carrier, deterministic ties; returns
-    (cost, vertex tuple) or None if disconnected."""
-    best: dict[int, float] = {}
+                    f_set: frozenset[int], carrier: frozenset[int],
+                    length: list[float], rank: list[int]):
+    """Cheapest E -> F path within the carrier; returns (cost, vertex tuple)
+    or None if disconnected.  The search is keyed by (cost, geometric length
+    by ``length`` per edge, ``rank`` of the vertex id), so ties in cost go to
+    the shorter path and then to the smaller id, never to the order of the
+    vertex records."""
+    cost = cost.tolist()
+    best: dict[int, tuple[float, float]] = {}
     pred: dict[int, int] = {}
-    heap: list[tuple[float, int]] = []
-    for v in sorted(e_set):
-        if v in carrier:
-            best[v] = 0.0
-            heapq.heappush(heap, (0.0, v))
+    heap: list[tuple[float, float, int, int]] = []
+    for v in e_set & carrier:
+        best[v] = (0.0, 0.0)
+        heap.append((0.0, 0.0, rank[v], v))
+    heapq.heapify(heap)
+    unseen = (math.inf, math.inf)
     while heap:
-        val, v = heapq.heappop(heap)
-        if val > best.get(v, math.inf):
+        val, ln, _r, v = heapq.heappop(heap)
+        if (val, ln) != best[v]:  # stale: v was reached by a smaller key since
             continue
         if v in f_set:
             path = [v]
@@ -171,11 +177,12 @@ def _dijkstra_curve(space: Space, cost: np.ndarray, e_set: frozenset[int],
         for w, e in space.adj[v]:
             if w not in carrier:
                 continue
-            cand = val + float(cost[e])
-            if cand < best.get(w, math.inf) - 1e-18:
-                best[w] = cand
+            c, l = val + cost[e], ln + length[e]
+            bc, bl = best.get(w, unseen)
+            if c < bc or c == bc and l < bl:
+                best[w] = (c, l)
                 pred[w] = v
-                heapq.heappush(heap, (cand, w))
+                heapq.heappush(heap, (c, l, rank[w], w))
     return None
 
 
@@ -207,10 +214,12 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
             pull_e[e] = te
             pull_len[e] = tgt.edge_length(te)
     e_set, f_set, carrier = family.connect
+    length = [ln for _i, _j, ln in src.edges]
+    rank = np.argsort(np.argsort(np.array(src.ids))).tolist()
 
     def search(rho: np.ndarray):
         cost = np.where(pull_e >= 0, rho[np.maximum(pull_e, 0)] * pull_len, 0.0)
-        hit = _dijkstra_curve(src, cost, e_set, f_set, carrier)
+        hit = _dijkstra_curve(src, cost, e_set, f_set, carrier, length, rank)
         if hit is None:
             return math.inf, None
         val, path = hit

@@ -12,6 +12,10 @@ through its target pair (f(i), f(j)), so one Kruskal threshold sweep per
 unordered pair of occupied target vertices (a, b) settles every pair of
 fiber(a) x fiber(b).  The sweep's spanning forest also gives each pair a
 minimax path, whose image diameter is the exact solver's upper witness.
+
+The exact solver settles every pair the sweep already decides in one array
+step: lower <= TOL means distance zero, and a witness within TOL of lower
+means distance witness.  Only the remaining open pairs are searched.
 """
 from __future__ import annotations
 
@@ -136,11 +140,7 @@ def _reachable_within(vm: VertexMap, i: int, j: int, cap: float,
     cap-balls).  A state is dominated if the vertex was already reached with
     a superset constraint set.
     """
-    dY = vm.target.dist
-    fi, fj = int(vm.f[i]), int(vm.f[j])
-    if dY[fi, fj] > cap + TOL:
-        return False
-    k0 = nbhd[fi] & nbhd[fj]
+    k0 = nbhd[int(vm.f[i])] & nbhd[int(vm.f[j])]
     seen: dict[int, list[frozenset[int]]] = {i: [k0]}
     stack: list[tuple[int, frozenset[int]]] = [(i, k0)]
     src = vm.source
@@ -169,37 +169,14 @@ def _reachable_within(vm: VertexMap, i: int, j: int, cap: float,
     return False
 
 
-def _exact_pair(vm: VertexMap, i: int, j: int, lo: float, achieved: float,
-                dvals: np.ndarray, nbhd_at) -> float:
-    """Exact pullback distance for one pair via binary search on candidate
-    diameters in [lower, achieved], deciding reachability at each.
-    ``achieved`` is the image diameter of a path from i to j, and
-    ``nbhd_at(cap)`` the target's closed cap-balls."""
-    if lo <= TOL:
-        return 0.0
-    if achieved <= lo + TOL:
-        return achieved
-    cands = [float(d) for d in dvals if lo - TOL <= d <= achieved + TOL]
-    if not cands:  # the bracket guarantees the achieved value is a candidate
-        return achieved
-    lo_k, hi_k = 0, len(cands) - 1  # cands[hi_k] is reachable via the witness path
-    while lo_k < hi_k:
-        mid = (lo_k + hi_k) // 2
-        if _reachable_within(vm, i, j, cands[mid], nbhd_at(cands[mid])):
-            hi_k = mid
-        else:
-            lo_k = mid + 1
-    return cands[lo_k]
-
-
 def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.ndarray:
     """Exact pullback matrix: min over connected subgraphs containing each
     pair of the image diameter (attained on simple paths).
 
-    Resolved per pair by binary search on candidate diameters from the
-    bracket's lower value up to the image diameter of the pair's minimax path
-    in the bracket sweep, with reachability decided by a dominance-pruned
-    search.
+    Pairs the bracket sweep decides are settled in one array step (see the
+    module docstring).  Each open pair binary-searches the target distances
+    in [lower, achieved], deciding reachability at each candidate cap by a
+    dominance-pruned search over one table of cap-balls per call.
     """
     n = vm.source.n
     if n > cap:
@@ -208,20 +185,25 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
             "use pullback_metric_bracket"
         )
     lower, achieved = _target_pair_sweeps(vm, witness=True)
-    dvals = np.unique(vm.target.dist)
-    cache: dict[float, list[frozenset[int]]] = {}
-
-    def nbhd_at(cap: float) -> list[frozenset[int]]:
-        if cap not in cache:
-            ok = vm.target.dist <= cap + TOL
-            cache[cap] = [frozenset(int(t) for t in np.nonzero(row)[0]) for row in ok]
-        return cache[cap]
-
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = _exact_pair(vm, i, j, float(lower[i, j]), float(achieved[i, j]), dvals, nbhd_at)
-            out[i, j] = out[j, i] = v
+    out = np.where(lower <= TOL, 0.0, achieved)
+    rows, cols = np.nonzero(np.triu((lower > TOL) & (achieved > lower + TOL), 1))
+    dY = vm.target.dist
+    dvals = np.unique(dY)
+    # an open pair's candidate caps are dvals[first..last]; its witness path reaches within the last
+    first = np.searchsorted(dvals, lower[rows, cols] - TOL, side="left")
+    last = np.searchsorted(dvals, achieved[rows, cols] + TOL, side="right") - 1
+    nbhd: dict[float, list[frozenset[int]]] = {}
+    for i, j, lo_k, hi_k in zip(rows.tolist(), cols.tolist(), first.tolist(), last.tolist()):
+        while lo_k < hi_k:
+            mid = (lo_k + hi_k) // 2
+            c = float(dvals[mid])
+            if c not in nbhd:
+                nbhd[c] = [frozenset(np.nonzero(row)[0].tolist()) for row in dY <= c + TOL]
+            if _reachable_within(vm, i, j, c, nbhd[c]):
+                hi_k = mid
+            else:
+                lo_k = mid + 1
+        out[i, j] = out[j, i] = dvals[lo_k]
     return out
 
 

@@ -593,7 +593,25 @@ def space_to_json(space: Space) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _read_json(path: str):
+    """The JSON document in the file at ``path``; text that is not JSON is a
+    ValidationError."""
+    with open(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValidationError([f"{path}: not valid JSON ({exc})"]) from None
+
+
 def space_from_json(obj: dict) -> Space:
+    """The Space of a JSON object; every schema defect is an itemized finding
+    of one ValidationError: vertex ids and edge endpoints are strings,
+    masses and lengths numbers, and ``dist`` is "path" or a square matrix of
+    numbers."""
     if not isinstance(obj, dict):
         raise ValidationError(["space JSON must be an object"])
     unknown = set(obj) - _SPACE_FIELDS
@@ -605,26 +623,38 @@ def space_from_json(obj: dict) -> Space:
     findings: list[str] = []
 
     def records(key: str, what: str, fields: tuple[str, ...]) -> list[tuple]:
+        """The records of ``obj[key]``: string fields, then one number."""
+        if not isinstance(obj[key], list):
+            findings.append(f"{key} must be a list of {what} records")
+            return []
         out = []
         for rec in obj[key]:
-            if set(rec) != set(fields):
+            if not (isinstance(rec, dict) and set(rec) == set(fields)):
                 findings.append(f"{what} record fields must be exactly {','.join(fields)}: {rec}")
+            elif not all(isinstance(rec[k], str) for k in fields[:-1]):
+                findings.append(f"{what} {','.join(fields[:-1])} must be strings: {rec}")
+            elif not _is_number(rec[fields[-1]]):
+                findings.append(f"{what} {fields[-1]} must be a number: {rec}")
             else:
                 out.append(tuple(rec[k] for k in fields))
         return out
 
     verts = records("vertices", "vertex", ("id", "mass"))
     edges = records("edges", "edge", ("u", "v", "len"))
-    if findings:
-        raise ValidationError(findings)
     dist = obj["dist"]
     if isinstance(dist, str):
         if dist != "path":
-            raise ValidationError([f'dist must be "path" or a matrix, got {dist!r}'])
+            findings.append(f'dist must be "path" or a matrix, got {dist!r}')
+    elif not (isinstance(dist, list)
+              and all(isinstance(row, list) and len(row) == len(dist)
+                      and all(_is_number(x) for x in row) for row in dist)):
+        findings.append('dist must be "path" or a square matrix of numbers')
+    if findings:
+        raise ValidationError(findings)
+    if isinstance(dist, str):
         return Space.build(verts, edges, "path")
     return Space.build(verts, edges, np.array(dist, dtype=float))
 
 
 def load_space(path: str) -> Space:
-    with open(path) as fh:
-        return space_from_json(json.load(fh))
+    return space_from_json(_read_json(path))

@@ -17,7 +17,7 @@ from qrgraph.generators import (
     gen_winding,
     identity_map,
 )
-from qrgraph.pullback import enumerate_paths
+from qrgraph.pullback import _reachable_within, _target_pair_sweeps, enumerate_paths
 from qrgraph.spaces import Space
 
 
@@ -95,6 +95,48 @@ def bracket_lower_reference(vm: VertexMap) -> np.ndarray:
             key = np.maximum(dY[vm.f, int(vm.f[i])], dY[vm.f, int(vm.f[j])])
             lower[i, j] = lower[j, i] = minimax_path_reference(vm.source, key, i, j)
     return lower
+
+
+def exact_reference(vm: VertexMap) -> np.ndarray:
+    """The exact pullback matrix by one binary search per source pair: the
+    per-pair loop the library used before it settled decided pairs in one
+    array step, kept as a reference."""
+    lower, achieved = _target_pair_sweeps(vm, witness=True)
+    dY = vm.target.dist
+    dvals = np.unique(dY)
+    cache: dict[float, list[frozenset[int]]] = {}
+
+    def nbhd_at(cap: float) -> list[frozenset[int]]:
+        if cap not in cache:
+            cache[cap] = [frozenset(int(t) for t in np.nonzero(row)[0]) for row in dY <= cap + TOL]
+        return cache[cap]
+
+    def reachable(i: int, j: int, cap: float) -> bool:
+        if dY[int(vm.f[i]), int(vm.f[j])] > cap + TOL:
+            return False
+        return _reachable_within(vm, i, j, cap, nbhd_at(cap))
+
+    def pair(i: int, j: int, lo: float, ach: float) -> float:
+        if lo <= TOL:
+            return 0.0
+        if ach <= lo + TOL:
+            return ach
+        cands = [float(d) for d in dvals if lo - TOL <= d <= ach + TOL]
+        lo_k, hi_k = 0, len(cands) - 1
+        while lo_k < hi_k:
+            mid = (lo_k + hi_k) // 2
+            if reachable(i, j, cands[mid]):
+                hi_k = mid
+            else:
+                lo_k = mid + 1
+        return cands[lo_k]
+
+    n = vm.source.n
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = pair(i, j, float(lower[i, j]), float(achieved[i, j]))
+    return out
 
 
 def diameter_reference(space: Space, members) -> float:

@@ -56,6 +56,29 @@ class TestValidate:
         assert run(["validate", path, "--out", tmp_path / "v"]) == 2
 
 
+_PAIR = {"vertices": [{"id": "a", "mass": 1.0}, {"id": "b", "mass": 1.0}],
+         "edges": [{"u": "a", "v": "b", "len": 1.0}], "dist": "path"}
+MALFORMED = {
+    "not_json": '{"vertices": [',
+    "mass_string": json.dumps({**_PAIR, "vertices": [{"id": "a", "mass": "x"},
+                                                     {"id": "b", "mass": 1.0}]}),
+    "length_string": json.dumps({**_PAIR, "edges": [{"u": "a", "v": "b", "len": "q"}]}),
+    "ragged_dist": json.dumps({**_PAIR, "dist": [[0.0, 1.0], [1.0]]}),
+    "vertices_not_list": json.dumps({**_PAIR, "vertices": 3}),
+    "integer_ids": json.dumps({"vertices": [{"id": 1, "mass": 1.0}, {"id": 2, "mass": 1.0}],
+                               "edges": [{"u": 1, "v": 2, "len": 1.0}], "dist": "path"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_space_file_is_validation_error(tmp_path, capsys, name):
+    path = tmp_path / "space.json"
+    path.write_text(MALFORMED[name])
+    assert run(["validate", path, "--out", tmp_path / "v"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("invalid: ")
+
+
 class TestSubcommands:
     def test_pullback_emits_matrix_and_report(self, cover_dir, tmp_path):
         out = tmp_path / "pb"
@@ -139,6 +162,17 @@ class TestSubcommands:
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["value"] == pytest.approx(1.0)  # doubled weights
 
+    @pytest.mark.parametrize("weights", [[1.0], {"t0000": "x"}, {"t0000": 2.0}])
+    def test_malformed_weight_file_is_validation_error(self, cover_dir, tmp_path, capsys,
+                                                       weights):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"connect": {"E": ["t0000"], "F": ["t0004"]}}))
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(weights))
+        assert run(["modulus", "--space", cover_dir / "target.json", "--family", fam,
+                    "--weight", wfile, "--out", tmp_path / "modw"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_usage_error_64(self, capsys):
         assert run(["bogus-command"]) == 64
 
@@ -177,6 +211,21 @@ class TestSubcommands:
         assert "Traceback" not in capsys.readouterr().err
         report = json.loads((tmp_path / "v" / "report.json").read_text())
         assert report["certificates"][0]["constant"] == math.inf
+
+    def test_metric_qr_rows_carry_flags(self, cover_dir, tmp_path):
+        # the same explicit diagonal as above: every row says why H is infinite
+        target = cover_dir / "target.json"
+        obj = json.loads(target.read_text())
+        dist = np.array(load_space(str(target)).dist)
+        dist[np.diag_indices_from(dist)] = 1e-9
+        obj["dist"] = dist.tolist()
+        target.write_text(json.dumps(obj))
+        assert run(["verify", "--map", cover_dir / "map.json", "--property", "metric-qr",
+                    "--radius-cap", "1.5e-9", "--out", tmp_path / "v"]) == 2
+        report = json.loads((tmp_path / "v" / "report.json").read_text())
+        rows = report["certificates"][0]["details"]["profiles"]
+        assert len(rows) == 16
+        assert all("empty neighbourhood" in row["flags"] for row in rows.values())
 
     @pytest.mark.parametrize("argv", [["measure", "--tol", "1e-3"],
                                       ["verify", "--property", "bld", "--exact-cap", "4"],

@@ -20,7 +20,7 @@ from qrgraph.modulus import (
     modulus_bruteforce,
     vaisala_certificate,
 )
-from qrgraph.spaces import Curve, Space
+from qrgraph.spaces import Curve, Space, space_from_json, space_to_json
 
 
 def random_simple_path(rng, space, max_len=6):
@@ -199,6 +199,42 @@ class TestConnectingAgainstEnumeration:
         assert a.value == b.value
         assert np.array_equal(a.density.values, b.density.values)
         assert a.iterations == b.iterations
+
+
+def _permuted(space: Space, seed: int) -> Space:
+    """The same space with its vertex records in a seeded order."""
+    obj = space_to_json(space)
+    verts = obj["vertices"]
+    order = np.random.default_rng(seed).permutation(len(verts))
+    return space_from_json({**obj, "vertices": [verts[k] for k in order]})
+
+
+class TestRecordOrder:
+    """Mod_p does not depend on the order of the vertex records: the oracle
+    breaks ties by geometric length, then by vertex id."""
+
+    CASES = {
+        # the 32-sector annulus {1 < |z| < e}, inner ring to outer ring
+        "annulus_32": (lambda: gen_polar_grid(33, 32, 1.0, math.e),
+                       [f"r000s{j:03d}" for j in range(32)],
+                       [f"r032s{j:03d}" for j in range(32)]),
+        # the 12 x 6 grid, left column to right column
+        "grid_12_6": (lambda: gen_grid(12, 6),
+                      [f"g000_{j:03d}" for j in range(7)],
+                      [f"g012_{j:03d}" for j in range(7)]),
+    }
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_modulus_invariant_under_record_permutation(self, name, p):
+        make, e_ids, f_ids = self.CASES[name]
+        space = make()
+        base = modulus(CurveFamily.connecting(space, e_ids, f_ids), p=p)
+        assert base.exact and not base.flags
+        for seed in (1, 2, 3):
+            res = modulus(CurveFamily.connecting(_permuted(space, seed), e_ids, f_ids), p=p)
+            assert res.exact and not res.flags
+            assert res.value == pytest.approx(base.value, abs=1e-9, rel=0)
 
 
 class TestMonotonicity:
