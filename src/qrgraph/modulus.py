@@ -8,9 +8,14 @@ play the role of the ambient measure; explicit edge weights give
 m_e = w_e * len_e.
 
 The solver is a constraint-generation loop: find the curve of minimal
-rho-length (shortest path, or a scan for explicit families); if it is
-admissible stop, else add its half-space and re-solve the restricted
-program.  p = 2 uses cyclic closed-form half-space projections with
+rho-length; if it is admissible stop, else add its half-space and re-solve
+the restricted program.  An explicit family is scanned.  For a connecting
+family the curve is canonical, least in (rho-cost, geometric length, rank of
+the vertex id), so the result does not depend on the order of the vertex
+records.  Two compiled Dijkstra passes (scipy.sparse.csgraph) find it: one
+for the rho-cost d, one for the geometric length on the arcs where d is
+tight with zero tolerance; a walk back over the curve's own vertices breaks
+the remaining ties.  p = 2 uses cyclic closed-form half-space projections with
 correction variables (Hildreth's method, equivalently Dykstra); p != 2 runs
 cyclic exact coordinate maximization of the concave Lagrangian dual, with
 exact primal recovery.  Results report a rigorous duality gap: the returned
@@ -19,13 +24,15 @@ a lower bound on the true modulus.
 """
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from ._tol import TOL
 from .certificates import Certificate
@@ -148,42 +155,76 @@ def _curve_row(space: Space, verts: Sequence[int], f: np.ndarray | None = None) 
     return idx, np.array([coeffs[e] for e in idx])
 
 
-def _dijkstra_curve(space: Space, cost: np.ndarray, e_set: frozenset[int],
-                    f_set: frozenset[int], carrier: frozenset[int],
-                    length: list[float], rank: list[int]):
-    """Cheapest E -> F path within the carrier; returns (cost, vertex tuple)
-    or None if disconnected.  The search is keyed by (cost, geometric length
-    by ``length`` per edge, ``rank`` of the vertex id), so ties in cost go to
-    the shorter path and then to the smaller id, never to the order of the
-    vertex records."""
-    cost = cost.tolist()
-    best: dict[int, tuple[float, float]] = {}
-    pred: dict[int, int] = {}
-    heap: list[tuple[float, float, int, int]] = []
-    for v in e_set & carrier:
-        best[v] = (0.0, 0.0)
-        heap.append((0.0, 0.0, rank[v], v))
-    heapq.heapify(heap)
-    unseen = (math.inf, math.inf)
-    while heap:
-        val, ln, _r, v = heapq.heappop(heap)
-        if (val, ln) != best[v]:  # stale: v was reached by a smaller key since
-            continue
-        if v in f_set:
-            path = [v]
-            while path[-1] in pred:
-                path.append(pred[path[-1]])
-            return val, tuple(reversed(path))
-        for w, e in space.adj[v]:
-            if w not in carrier:
-                continue
-            c, l = val + cost[e], ln + length[e]
-            bc, bl = best.get(w, unseen)
-            if c < bc or c == bc and l < bl:
-                best[w] = (c, l)
-                pred[w] = v
-                heapq.heappush(heap, (c, l, rank[w], w))
-    return None
+def _walk_back(targets: np.ndarray, d: np.ndarray, ln: np.ndarray, rank: np.ndarray,
+               arc_u: np.ndarray, arc_w: np.ndarray, indptr: np.ndarray,
+               arc_cost: np.ndarray, arc_len: np.ndarray) -> list[int] | None:
+    """The curve, from its end back to E, that a heap search from E keyed by
+    (d, ln, rank) returns, read off its final labels d and ln; None if no
+    target is reached.  The search reaches every vertex with a finite
+    label, also one whose cost overflows to d = inf.  Row w of the arcs
+    (sorted by u, with ``indptr``) holds w's out-arcs, whose reverses, of
+    equal cost and length, are its in-arcs.
+
+    The search returns the first target it pops, and it sets the predecessor
+    of a vertex w once, to the first vertex popped among the in-neighbours u
+    on which both labels are tight, d[u] + c == d[w] and ln[u] + len == ln[w].
+    Labels pop in increasing order, so an in-neighbour of a smaller label wins
+    over one of w's own label, and the vertices of one label pop in rank
+    order, unless a length vanishes in a float sum, ln + len == ln, as every
+    length does once ln has overflowed to inf.  Then a tight arc can join two
+    vertices of one label, and they pop as a search by rank that starts at
+    those with ln = 0 or a predecessor of smaller label and enters the others
+    along such arcs.  Each predecessor pops before its vertex, so the walk
+    ends.
+    """
+    def into(w: int) -> np.ndarray:
+        nb = slice(indptr[w], indptr[w + 1])
+        u = arc_w[nb]
+        return u[(d[u] + arc_cost[nb] == d[w]) & (ln[u] + arc_len[nb] == ln[w])]
+
+    def entry(v: int) -> bool:
+        """v is a source, or has a tight in-neighbour of a smaller label."""
+        u = into(v)
+        return ln[v] == 0.0 or bool(((d[u] != d[v]) | (ln[u] != ln[v])).any())
+
+    turns: dict[tuple[float, float], dict[int, int]] = {}
+
+    def turn(v: int) -> int:
+        """v's place in the pop order of the vertices of its label."""
+        label = (d[v], ln[v])
+        if label not in turns:
+            order = turns[label] = {}
+            members = np.flatnonzero((d == label[0]) & (ln == label[1]))
+            front = sorted((-rank[m], m) for m in members if entry(m))
+            seen = {m for _r, m in front}
+            while front:
+                x = front.pop()[1]
+                order[x] = len(order)
+                nb = slice(indptr[x], indptr[x + 1])
+                y = arc_w[nb]
+                hop = ((d[y] == label[0]) & (ln[y] == label[1])
+                       & (label[0] + arc_cost[nb] == label[0]) & (label[1] + arc_len[nb] == label[1]))
+                for z in y[hop]:
+                    if z not in seen:
+                        seen.add(z)
+                        bisect.insort(front, (-rank[z], z))
+        return turns[label][v]
+
+    lu = ln[arc_u]
+    flat = bool(np.any((lu + arc_len == lu) & (np.minimum(d[arc_u], lu) < math.inf)))
+
+    def first(vs: np.ndarray) -> int:
+        vs = vs[np.lexsort((rank[vs], ln[vs], d[vs]))]
+        if not flat:
+            return int(vs[0])
+        return int(min(vs[(d[vs] == d[vs[0]]) & (ln[vs] == ln[vs[0]])], key=turn))
+
+    if np.all((d[targets] == math.inf) & (ln[targets] == math.inf)):
+        return None
+    path = [first(targets)]
+    while ln[path[-1]] != 0.0:  # a positive length keeps ln > 0 off E
+        path.append(first(into(path[-1])))
+    return path
 
 
 def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
@@ -193,6 +234,22 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
     Given a vertex map, the oracle is for the image family f(Gamma): the
     variables live on target edges and the most-violated curve is found on
     the source graph with pulled-back edge costs.
+
+    The connecting-family oracle returns the canonical cheapest E -> F curve
+    within the carrier: least rho-cost d, then least geometric length ln,
+    then least rank of the vertex id at each step, so the curve never depends
+    on the order of the vertex records.  Two compiled Dijkstra passes from E
+    find it.  Pass 1 gives d; pass 2 gives ln on the tight arcs, those with
+    d[u] + c == d[w].  The tolerance on "tight" is zero: d[w] is the least
+    float d[u] + c over the in-arcs of w, the very comparison the Dijkstra
+    labels make, so equality marks exactly the arcs of cheapest curves; any
+    slack would admit arcs of costlier curves and change the curve chosen.
+    The end vertex is the F vertex least in (d, ln, rank), and the walk back
+    steps to the in-neighbour least in (d, ln, rank) among those on which
+    both labels are tight; where a length vanishes in a float sum, the walk
+    takes the vertex the heap search would have popped first (``_walk_back``).
+    The value returned is d at the end vertex, the curve's own sequential
+    rho-length.
     """
     src = family.space
     tgt, f = (src, np.arange(src.n)) if vm is None else (vm.target, vm.f)
@@ -214,16 +271,40 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
             pull_e[e] = te
             pull_len[e] = tgt.edge_length(te)
     e_set, f_set, carrier = family.connect
-    length = [ln for _i, _j, ln in src.edges]
-    rank = np.argsort(np.argsort(np.array(src.ids))).tolist()
+    rank = np.argsort(np.argsort(np.array(src.ids)))
+    sources = sorted(e_set & carrier)
+    targets = np.array(sorted(f_set & carrier), dtype=int)
+    # both arcs of every edge inside the carrier, sorted by (u, w): row w of
+    # the CSR lists the in-arcs of w as well, since the arcs come in pairs
+    edges = np.array(src.edges, dtype=float).reshape(-1, 3)
+    ends, length = edges[:, :2].astype(int), edges[:, 2]
+    inside = np.zeros(src.n, dtype=bool)
+    inside[np.fromiter(carrier, dtype=int)] = True
+    keep = np.flatnonzero(inside[ends[:, 0]] & inside[ends[:, 1]])
+    arc_u = np.concatenate([ends[keep, 0], ends[keep, 1]])
+    arc_w = np.concatenate([ends[keep, 1], ends[keep, 0]])
+    arc_e = np.concatenate([keep, keep])
+    order = np.lexsort((arc_w, arc_u))
+    arc_u, arc_w, arc_e = arc_u[order], arc_w[order], arc_e[order]
+    arc_len = length[arc_e]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(arc_u, minlength=src.n))])
+    # explicit zeros stay arcs: the CSR is built from its parts and its data
+    # only ever refilled, never pruned
+    g = csr_matrix((np.zeros(arc_u.size), arc_w, indptr), shape=(src.n, src.n))
 
     def search(rho: np.ndarray):
         cost = np.where(pull_e >= 0, rho[np.maximum(pull_e, 0)] * pull_len, 0.0)
-        hit = _dijkstra_curve(src, cost, e_set, f_set, carrier, length, rank)
-        if hit is None:
+        arc_cost = cost[arc_e]
+        g.data[:] = arc_cost
+        d = dijkstra(g, indices=sources, min_only=True)
+        tight = d[arc_u] + arc_cost == d[arc_w]
+        g.data[:] = np.where(tight, arc_len, math.inf)
+        ln = dijkstra(g, indices=sources, min_only=True)
+
+        path = _walk_back(targets, d, ln, rank, arc_u, arc_w, indptr, arc_cost, arc_len)
+        if path is None:
             return math.inf, None
-        val, path = hit
-        return val, _curve_row(tgt, path, f)
+        return float(d[path[0]]), _curve_row(tgt, path[::-1], f)
 
     return search
 

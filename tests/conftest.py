@@ -85,6 +85,75 @@ def minimax_path_reference(space: Space, key: np.ndarray, i: int, j: int) -> flo
     raise AssertionError("disconnected")
 
 
+def dijkstra_curve_reference(space: Space, cost: np.ndarray, e_set: frozenset[int],
+                             f_set: frozenset[int], carrier: frozenset[int],
+                             length: list[float], rank: list[int]):
+    """Cheapest E -> F path within the carrier; returns (cost, vertex tuple)
+    or None if disconnected.  The search is keyed by (cost, geometric length
+    by ``length`` per edge, ``rank`` of the vertex id): the pure-Python heap
+    search the modulus oracle used before its two compiled Dijkstra passes,
+    kept as a reference."""
+    cost = cost.tolist()
+    best: dict[int, tuple[float, float]] = {}
+    pred: dict[int, int] = {}
+    heap: list[tuple[float, float, int, int]] = []
+    for v in e_set & carrier:
+        best[v] = (0.0, 0.0)
+        heap.append((0.0, 0.0, rank[v], v))
+    heapq.heapify(heap)
+    unseen = (math.inf, math.inf)
+    while heap:
+        val, ln, _r, v = heapq.heappop(heap)
+        if (val, ln) != best[v]:  # stale: v was reached by a smaller key since
+            continue
+        if v in f_set:
+            path = [v]
+            while path[-1] in pred:
+                path.append(pred[path[-1]])
+            return val, tuple(reversed(path))
+        for w, e in space.adj[v]:
+            if w not in carrier:
+                continue
+            c, l = val + cost[e], ln + length[e]
+            bc, bl = best.get(w, unseen)
+            if c < bc or c == bc and l < bl:
+                best[w] = (c, l)
+                pred[w] = v
+                heapq.heappush(heap, (c, l, rank[w], w))
+    return None
+
+
+def reference_family_oracle(family, vm: VertexMap | None = None):
+    """The connecting-family modulus oracle with ``dijkstra_curve_reference``
+    as its search: pulled-back costs, ranks and the returned row exactly as
+    the library built them around the heap search."""
+    from qrgraph.modulus import _curve_row
+
+    src = family.space
+    tgt, f = (src, np.arange(src.n)) if vm is None else (vm.target, vm.f)
+    pull_e = np.full(len(src.edges), -1, dtype=int)
+    pull_len = np.zeros(len(src.edges))
+    for e, (i, j, _ln) in enumerate(src.edges):
+        fi, fj = int(f[i]), int(f[j])
+        if fi != fj:
+            te = tgt.edge_index[(fi, fj)]
+            pull_e[e] = te
+            pull_len[e] = tgt.edge_length(te)
+    e_set, f_set, carrier = family.connect
+    length = [ln for _i, _j, ln in src.edges]
+    rank = np.argsort(np.argsort(np.array(src.ids))).tolist()
+
+    def search(rho: np.ndarray):
+        cost = np.where(pull_e >= 0, rho[np.maximum(pull_e, 0)] * pull_len, 0.0)
+        hit = dijkstra_curve_reference(src, cost, e_set, f_set, carrier, length, rank)
+        if hit is None:
+            return math.inf, None
+        val, path = hit
+        return val, _curve_row(tgt, path, f)
+
+    return search
+
+
 def bracket_lower_reference(vm: VertexMap) -> np.ndarray:
     """The bracket's lower matrix by one reference search per source pair."""
     n = vm.source.n

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_space
+from qrgraph import spaces
 from qrgraph.covering import VertexMap
 from qrgraph.generators import gen_cycle, gen_cycle_cover, gen_grid, gen_polar_grid, gen_winding, identity_map
 from qrgraph.modulus import (
@@ -289,6 +290,25 @@ class TestAnnulus:
         v1 = annulus_modulus(disk, "center", a, mid, p=2).value
         v2 = annulus_modulus(disk, "center", a, b, p=2).value
         assert v1 * math.log(mid / a) == pytest.approx(v2 * math.log(b / a), rel=0.10)
+
+
+@pytest.mark.slow
+def test_annulus_refinement_series(monkeypatch):
+    # Mod_2 of {1 < |z| < e} is 2 pi; the error of the connecting family of
+    # the polar grid falls at every refinement, and no level fills the
+    # all-pairs matrix (it would take about 35 GB at 256 sectors)
+    fills = []
+    monkeypatch.setattr(spaces, "_apsp", lambda n, edges: fills.append(n))
+    errors = []
+    for sectors in (64, 128, 256):
+        ann = gen_polar_grid(sectors + 1, sectors, 1.0, math.e)
+        fam = CurveFamily.connecting(ann, [f"r000s{j:03d}" for j in range(sectors)],
+                                     [f"r{sectors:03d}s{j:03d}" for j in range(sectors)])
+        res = modulus(fam, p=2)
+        assert res.exact and not res.flags
+        errors.append(abs(res.value - 2.0 * math.pi) / (2.0 * math.pi))
+    assert fills == []
+    assert errors[0] > errors[1] > errors[2]
 
 
 class TestLoewner:
