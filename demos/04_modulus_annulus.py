@@ -46,9 +46,10 @@ rows = loewner_profile(
      for i in (3, 5, 8, 10)],
     q=2.0,
 )
-print("\nLoewner profile (zeta, Mod_2):")
+print("\nLoewner profile (zeta, Mod_2, solver flags):")
 for row in rows:
-    print(f"  zeta = {row['zeta']:.3f}   Mod = {row['modulus']:.4f}")
+    print(f"  zeta = {row['zeta']:.3f}   Mod = {row['modulus']:.4f}"
+          f"   flags: {', '.join(row['flags']) or 'none'}")
 
 # minimal upper gradient of the distance function has slope <= 1
 u = g.dist[g.i("g000_000")]

@@ -15,12 +15,21 @@ the vertex id), so the result does not depend on the order of the vertex
 records.  Two compiled Dijkstra passes (scipy.sparse.csgraph) find it: one
 for the rho-cost d, one for the geometric length on the arcs where d is
 tight with zero tolerance; a walk back over the curve's own vertices breaks
-the remaining ties.  p = 2 uses cyclic closed-form half-space projections with
-correction variables (Hildreth's method, equivalently Dykstra); p != 2 runs
-cyclic exact coordinate maximization of the concave Lagrangian dual, with
-exact primal recovery.  Results report a rigorous duality gap: the returned
-density is admissible (scaled), its energy is an upper bound, the dual value
-a lower bound on the true modulus.
+the remaining ties.
+
+One inner solver serves every p: it maximizes the restricted Lagrangian dual
+sum(lam) - (p-1) sum(m rho(lam)^p) over lam >= 0, where rho(lam) is the exact
+primal recovery and the gradient is 1 - A rho(lam).  Each new row keeps the
+previous lam and starts at its one-row optimum if none of its edges carries
+load yet, else at 0.  A projected-gradient test at that warm start decides
+whether L-BFGS-B (scipy.optimize) runs at all; edge-disjoint rows, as on the
+annulus, always pass it.  The loop stops when the oracle reads >= 1 - tol; a
+curve found twice gives the flag ``stalled``, and ``max_iter`` the flag
+``iteration cap``.  ``iterations`` counts one unit per stopping test plus
+the L-BFGS-B iterations.  The optimiser's tolerances are not the
+certificate: results report a rigorous duality gap, since the returned
+density is admissible (scaled), its energy is an upper bound, and the dual
+value a lower bound on the true modulus.
 """
 from __future__ import annotations
 
@@ -324,92 +333,35 @@ def _rho_of(m: np.ndarray, p: float, s: np.ndarray) -> np.ndarray:
     return base ** (1.0 / (p - 1.0))
 
 
-def _hildreth(m, rows, lam, s, inner_tol, budget):
-    """Cyclic closed-form half-space projections with corrections (p = 2)."""
-    q = [float((coef * coef / (2.0 * m[idx])).sum()) for idx, coef in rows]
-    used = 0
-    for _sweep in range(max(1, budget // max(1, len(rows)))):
-        worst = 0.0
-        for r, (idx, coef) in enumerate(rows):
-            rho_r = s[idx] / (2.0 * m[idx])
-            viol = 1.0 - float(rho_r @ coef)
-            delta = viol / q[r]
-            if delta < -lam[r]:
-                delta = -lam[r]
-            if delta != 0.0:
-                lam[r] += delta
-                s[idx] += delta * coef
-            resid = abs(viol) if lam[r] > 1e-300 else max(0.0, viol)
-            worst = max(worst, resid)
-            used += 1
-        if worst <= inner_tol:
-            break
-    return used
+def _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget):
+    """Maximises the restricted dual sum(lam) - (p-1) sum(m rho(lam)^p) over
+    lam >= 0 in place, for the rows A stacked in CSR parts (coef, cols,
+    indptr); its gradient is 1 - A rho(lam).  Returns (s = A^T lam, units
+    used).
 
+    One unit is the projected-gradient test at the given lam: every row
+    with lam > 0 tight within ``inner_tol``, every other row satisfied
+    within it.  Only if the test fails does L-BFGS-B run, for at most
+    ``budget`` iterations, each counted as one more unit."""
+    n_rows = lam.size
+    owner = np.repeat(np.arange(n_rows), np.diff(indptr))
+    s = np.bincount(cols, weights=lam[owner] * coef, minlength=m.size)
+    slack = 1.0 - np.add.reduceat(coef * _rho_of(m, p, s)[cols], indptr[:-1])
+    if np.where(lam > 0.0, np.abs(slack), slack).max() <= inner_tol:
+        return s, 1
+    from scipy.optimize import minimize
 
-def _dual_ascent(m, p, rows, lam, s, inner_tol, budget):
-    """Cyclic exact coordinate maximization of the Lagrangian dual (p != 2):
-    each coordinate's 1-d concave problem is solved by bracketed Newton."""
-    used = 0
-    q = 1.0 / (p - 1.0)
-    prev_worst = math.inf
-    stall = 0
-    for _sweep in range(max(1, budget // max(1, len(rows)))):
-        worst = 0.0
-        for r, (idx, coef) in enumerate(rows):
-            mr = p * m[idx]
-            s_other = s[idx] - lam[r] * coef
+    a = csr_matrix((coef, cols, indptr), shape=(n_rows, m.size))
+    at = a.T
 
-            def slack(t):
-                rho = (np.maximum(s_other + t * coef, 0.0) / mr) ** q
-                return 1.0 - float(rho @ coef)
+    def neg_dual(x):
+        rho = _rho_of(m, p, at @ x)
+        return (p - 1.0) * float((m * rho ** p).sum()) - float(x.sum()), a @ rho - 1.0
 
-            def dslack(t):
-                base = np.maximum(s_other + t * coef, 0.0) / mr
-                return -float((coef * coef / mr * q * base ** (q - 1.0)).sum())
-
-            g0 = slack(lam[r])
-            resid = abs(g0) if lam[r] > 1e-300 else max(0.0, g0)
-            worst = max(worst, resid)
-            used += 1
-            if resid <= 0.25 * inner_tol:
-                continue
-            if g0 > 0.0:
-                lo = lam[r]
-                hi = max(2.0 * lam[r], 1e-9)
-                while slack(hi) > 0.0 and hi < 1e18:
-                    lo = hi
-                    hi *= 4.0
-            else:
-                if slack(0.0) <= 0.0:
-                    s[idx] = s_other
-                    lam[r] = 0.0
-                    continue
-                lo, hi = 0.0, lam[r]
-            t = 0.5 * (lo + hi)
-            for _newton in range(40):
-                g = slack(t)
-                if g > 0.0:
-                    lo = t
-                else:
-                    hi = t
-                if abs(g) <= 1e-15 or hi - lo <= 1e-15 * max(1.0, hi):
-                    break
-                d = dslack(t)
-                t_n = t - g / d if d < 0 else 0.5 * (lo + hi)
-                t = t_n if lo < t_n < hi else 0.5 * (lo + hi)
-            s[idx] = s_other + t * coef
-            lam[r] = t
-        if worst <= inner_tol:
-            break
-        if worst >= prev_worst * 0.999:
-            stall += 1
-            if stall >= 40:
-                break
-        else:
-            stall = 0
-        prev_worst = worst
-    return used
+    res = minimize(neg_dual, lam, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * n_rows,
+                   options={"maxiter": budget, "gtol": inner_tol, "ftol": 0.0})
+    lam[:] = res.x
+    return at @ lam, 1 + int(res.nit)
 
 
 # -- the solver ----------------------------------------------------------------
@@ -431,38 +383,41 @@ def _solve_program(
         raise ValueError("modulus requires p > 1")
     n_e = m.shape[0]
     rho0 = np.zeros(n_e)
-    first_val, first_row = oracle(rho0)
-    if first_row is None:
+    val, row = oracle(rho0)
+    if row is None:
         return rho0, 0.0, 0.0, 0, ("empty family",)
-    if first_row[0].size == 0:
-        return rho0, math.inf, math.inf, 0, ("constant curve member",)
-    rows: list[Row] = []
+    cols = np.zeros(0, dtype=int)
+    coef = np.zeros(0)
+    indptr = np.zeros(1, dtype=int)
     lam = np.zeros(0)
     s = np.zeros(n_e)
     sigs: set[bytes] = set()
     iterations = 0
     flags: list[str] = []
     inner_tol = max(min(tol, 1e-6) * 1e-2, 1e-10)
-    val, row = first_val, first_row
     while True:
-        if row is not None:
-            for e in row[0]:
-                if m[int(e)] <= 0:
-                    raise ValidationError(
-                        ["zero-measure edge on a family curve; modulus undefined"]
-                    )
-            sig = row[0].tobytes() + row[1].tobytes()
-            if sig in sigs:
-                flags.append("stalled")
-                break
-            sigs.add(sig)
-            rows.append(row)
-            lam = np.append(lam, 0.0)
+        idx, c = row
+        if idx.size == 0:
+            return rho0, math.inf, math.inf, iterations, tuple(flags + ["constant curve member"])
+        if np.any(m[idx] <= 0):
+            raise ValidationError(
+                ["zero-measure edge on a family curve; modulus undefined"]
+            )
+        sig = idx.tobytes() + c.tobytes()
+        if sig in sigs:
+            flags.append("stalled")
+            break
+        sigs.add(sig)
+        # a row on unloaded edges starts at its one-row optimum
+        lam0 = 0.0 if s[idx].any() else float(
+            (c * (c / (p * m[idx])) ** (1.0 / (p - 1.0))).sum()) ** (1.0 - p)
+        indptr = np.append(indptr, indptr[-1] + idx.size)
+        cols = np.concatenate([cols, idx])
+        coef = np.concatenate([coef, c])
+        lam = np.append(lam, lam0)
         budget = max(1000, max_iter - iterations)
-        if p == 2.0:
-            iterations += _hildreth(m, rows, lam, s, inner_tol, budget)
-        else:
-            iterations += _dual_ascent(m, p, rows, lam, s, inner_tol, budget)
+        s, used = _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget)
+        iterations += used
         val, row = oracle(_rho_of(m, p, s))
         if val >= 1.0 - tol:
             break

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import qrgraph
 from conftest import random_connected_space
 from qrgraph import spaces
 from qrgraph.covering import VertexMap
@@ -341,6 +346,57 @@ class TestLoewner:
         assert res.value == pytest.approx(1.0, rel=0.10)
 
 
+class TestLoewnerConverges:
+    """The Loewner families of demo 04 overlap heavily, unlike the annulus
+    curves: E is 4 vertices of column 0 and F 4 vertices of column i of
+    gen_grid(10, 10).  Every solve ends exact and without flags."""
+
+    VALUES = {
+        (2.0, 3): 1.320019, (2.0, 5): 0.925082, (2.0, 8): 0.665406, (2.0, 10): 0.513114,
+        (3.0, 3): 0.394609, (3.0, 5): 0.161173, (3.0, 8): 0.072035, (3.0, 10): 0.046155,
+    }
+
+    def check(self, p, column):
+        g = gen_grid(10, 10)
+        fam = CurveFamily.connecting(g, [f"g000_{j:03d}" for j in range(4)],
+                                     [f"g{column:03d}_{j:03d}" for j in range(4)])
+        res = modulus(fam, p=p)
+        assert res.exact and not res.flags
+        assert res.value == pytest.approx(self.VALUES[p, column], rel=1e-4)
+
+    @pytest.mark.parametrize("p, column", [(2.0, 10), (3.0, 8)])
+    def test_converges(self, p, column):
+        self.check(p, column)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("p, column", sorted(VALUES))
+    def test_every_family_converges(self, p, column):
+        self.check(p, column)
+
+
+def test_edge_disjoint_family_leaves_the_optimiser_unimported():
+    # the annulus curves are edge-disjoint, so every warm start already
+    # passes the stopping test; the CLI does not pay for scipy.optimize
+    code = textwrap.dedent("""
+        import math, sys
+        import qrgraph.cli
+        from qrgraph import CurveFamily, modulus
+        from qrgraph.generators import gen_polar_grid
+        ann = gen_polar_grid(33, 32, 1.0, math.e)
+        fam = CurveFamily.connecting(ann, [f"r000s{j:03d}" for j in range(32)],
+                                     [f"r032s{j:03d}" for j in range(32)])
+        res = modulus(fam, p=2)
+        assert res.exact and not res.flags, res
+        assert "scipy.optimize" not in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(qrgraph.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestUpperGradient:
     def test_constant_zero(self):
         sp = gen_cycle(5)
@@ -407,6 +463,19 @@ class TestKoKi:
         fam = CurveFamily.connecting(vm.source, ["s0000"], ["s0004"])
         ki = ki_certificate(vm, [fam])
         assert ki.constant <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_collapsed_image_curve_found_after_the_first(self, p):
+        # the shortest curve a-d has a non-constant image, so the oracle
+        # meets the collapsed image of a2-d only once rho > 0: no density
+        # is admissible for the image family
+        src = Space.build([(v, 1.0) for v in ("a", "a2", "d")],
+                          [("a", "d", 1.0), ("a2", "d", 2.0)], "path")
+        tgt = Space.build([("x", 1.0), ("y", 1.0)], [("x", "y", 1.0)], "path")
+        vm = VertexMap.build(src, tgt, {"a": "x", "a2": "y", "d": "y"})
+        ki = ki_certificate(vm, [CurveFamily.connecting(src, ["a", "a2"], ["d"])], q=p)
+        row = ki.details["rows"][0]
+        assert row["image"] == math.inf and "constant curve member" in row["flags"]
 
 
 class TestVaisala:
