@@ -1,8 +1,12 @@
 """Command-line interface: load/validate/compute/report over all modules.
 
-Exit codes: 0 ok, 2 validation failure, 3 resource cap exceeded, 64 usage.
-Reports are JSON with a schema_version, input digests, and a seed; repeated
-runs with the same seed are byte-identical except for the wall-time field.
+Each ``cmd_*`` returns ``(inputs, results, certificates, exit_code)`` and
+writes only its side files.  ``main`` starts the clock, maps exceptions to
+exit codes and writes every report: ``validate.json``, ``gen.json`` or
+``report.json``.  Exit codes: 0 ok, 2 validation failure, 3 resource cap
+exceeded, 64 usage.  Reports are JSON with a schema_version, input digests,
+and a seed; repeated runs with the same seed are byte-identical except for
+the wall-time field.
 """
 from __future__ import annotations
 
@@ -83,23 +87,22 @@ def _report(args, inputs: list[str], results, certificates: list[Certificate], t
     }
 
 
-def _write_report(args, report: dict, name: str = "report.json") -> None:
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
+def _write(out: str, name: str, text: str) -> None:
+    """The one writer of every output file: make ``out``, write, print the path."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
     with open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
     print(path)
 
 
-def _write_csv(args, name: str, header: list[str], rows: list[list]) -> None:
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, name)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")
-    print(path)
+def _write_json(out: str, name: str, obj, indent: int | None = None) -> None:
+    _write(out, name, json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+
+
+def _write_csv(out: str, name: str, header: list[str], rows: list[list]) -> None:
+    lines = ([repr(x) if isinstance(x, float) else str(x) for x in row] for row in [header, *rows])
+    _write(out, name, "".join(",".join(line) + "\n" for line in lines))
 
 
 def _load_any(path: str):
@@ -109,26 +112,21 @@ def _load_any(path: str):
     return "space", space_from_json(obj)
 
 
-def cmd_validate(args) -> int:
-    t0 = time.time()
+def cmd_validate(args):
     try:
         kind, _loaded = _load_any(args.file)
     except ValidationError as exc:
-        print(f"invalid: {'; '.join(exc.findings)}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValidationError([f"invalid: {exc}"]) from None
     # loading validates: Space.build and VertexMap raise on any finding
-    report = _report(args, [args.file], {"kind": kind, "findings": []}, [], t0)
-    _write_report(args, report, "validate.json")
-    return EXIT_OK
+    return [args.file], {"kind": kind, "findings": []}, [], EXIT_OK
 
 
-def cmd_gen(args) -> int:
-    t0 = time.time()
-    os.makedirs(args.out, exist_ok=True)
-    if args.kind == "winding":
-        written = _dump_map(args.out, gen_winding(args.k, args.levels, args.sectors))
-    elif args.kind == "cycle_cover":
-        written = _dump_map(args.out, gen_cycle_cover(args.n, args.m))
+def cmd_gen(args):
+    if args.kind in ("winding", "cycle_cover"):
+        vm = (gen_winding(args.k, args.levels, args.sectors) if args.kind == "winding"
+              else gen_cycle_cover(args.n, args.m))
+        files = {"source.json": space_to_json(vm.source), "target.json": space_to_json(vm.target),
+                 "map.json": map_to_json(vm, "source.json", "target.json")}
     else:
         if args.kind == "cycle":
             sp = gen_cycle(args.n)
@@ -138,59 +136,37 @@ def cmd_gen(args) -> int:
             sp = gen_polar_grid(args.levels, args.sectors, args.r0, args.r1)
         else:  # pullback_space
             sp = gen_pullback_space(load_map(args.map), cap=args.exact_cap)
-        written = [_dump_space(args.out, "space.json", sp)]
-    report = _report(args, [], {"written": [os.path.basename(w) for w in written]}, [], t0)
-    _write_report(args, report, "gen.json")
-    return EXIT_OK
+        files = {"space.json": space_to_json(sp)}
+    for name, obj in files.items():
+        _write_json(args.out, name, obj)
+    return [], {"written": list(files)}, [], EXIT_OK
 
 
-def _dump_space(out: str, name: str, sp) -> str:
-    path = os.path.join(out, name)
-    with open(path, "w") as fh:
-        json.dump(space_to_json(sp), fh, sort_keys=True)
-        fh.write("\n")
-    print(path)
-    return path
-
-
-def _dump_map(out: str, vm) -> list[str]:
-    s = _dump_space(out, "source.json", vm.source)
-    t = _dump_space(out, "target.json", vm.target)
-    path = os.path.join(out, "map.json")
-    with open(path, "w") as fh:
-        json.dump(map_to_json(vm, "source.json", "target.json"), fh, sort_keys=True)
-        fh.write("\n")
-    print(path)
-    return [s, t, path]
-
-
-def cmd_pullback(args) -> int:
-    t0 = time.time()
+def cmd_pullback(args):
     vm = load_map(args.map)
     fact = factorize(vm, metric=args.metric, cap=args.exact_cap)
     cert = verify_projection(fact)
     transfer = bld_bdd_transfer_check(fact, seed=args.seed)
     mat = fact.pullback_space.dist
     ids = fact.pullback_space.ids
-    _write_csv(args, "pullback_matrix.csv", ["id", *ids],
+    _write_csv(args.out, "pullback_matrix.csv", ["id", *ids],
                [[ids[i], *[float(x) for x in mat[i]]] for i in range(len(ids))])
     results = {
         "metric": fact.metric_choice,
         "exact": fact.bracket.exact,
         "vertices": len(ids),
     }
-    _write_report(args, _report(args, [args.map], results, [cert, transfer], t0))
-    return EXIT_OK if cert.passed else EXIT_VALIDATION
+    return [args.map], results, [cert, transfer], EXIT_OK if cert.passed else EXIT_VALIDATION
 
 
-def cmd_measure(args) -> int:
-    t0 = time.time()
+def cmd_measure(args):
     vm = load_map(args.map)
     pm = pullback_measure(vm)
     jf = jacobians(vm)
     rows = [[vm.source.ids[k], float(pm.values[k]), float(jf.jac[k]), float(jf.jac_inv[k])]
             for k in range(vm.source.n)]
-    _write_csv(args, "jacobians.csv", ["vertex", "pullback_mass", "jacobian", "jacobian_inv"], rows)
+    _write_csv(args.out, "jacobians.csv",
+               ["vertex", "pullback_mass", "jacobian", "jacobian_inv"], rows)
     rng = np.random.default_rng(args.seed)
     rho = rng.random(vm.source.n)
     certs = [
@@ -199,8 +175,7 @@ def cmd_measure(args) -> int:
         condition_N_inverse_check(vm),
     ]
     results = {"total_pullback_mass": pm.total()}
-    _write_report(args, _report(args, [args.map], results, certs, t0))
-    return EXIT_OK if all(c.passed for c in certs) else EXIT_VALIDATION
+    return [args.map], results, certs, EXIT_OK if all(c.passed for c in certs) else EXIT_VALIDATION
 
 
 def _family_from_json(space, obj) -> CurveFamily:
@@ -236,8 +211,7 @@ def _family_from_json(space, obj) -> CurveFamily:
     return CurveFamily.explicit(space, [Curve.from_ids(space, c) for c in curves])
 
 
-def cmd_modulus(args) -> int:
-    t0 = time.time()
+def cmd_modulus(args):
     space = load_space(args.space)
     fam = _family_from_json(space, _read_json(args.family))
     weight = None if args.weight is None else _read_json(args.weight)
@@ -247,17 +221,15 @@ def cmd_modulus(args) -> int:
     res = modulus(fam, p=args.p, weight=weight, tol=args.tol, max_iter=args.max_iter)
     rows = [[f"{space.ids[i]}-{space.ids[j]}", float(res.density.values[e])]
             for e, (i, j, _ln) in enumerate(space.edges)]
-    _write_csv(args, "density.csv", ["edge", "rho"], rows)
+    _write_csv(args.out, "density.csv", ["edge", "rho"], rows)
     results = {
         "value": res.value, "gap": res.gap, "p": res.p,
         "iterations": res.iterations, "exact": res.exact, "flags": list(res.flags),
     }
-    _write_report(args, _report(args, [args.space, args.family], results, [], t0))
-    return EXIT_OK
+    return [args.space, args.family], results, [], EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
+def cmd_verify(args):
     vm = load_map(args.map)
     prop = args.property
     if prop == "bld":
@@ -284,32 +256,27 @@ def cmd_verify(args) -> int:
         gauge = bqs_gauge(vm, seed=args.seed)
         cert = Certificate("bqs_gauge", True, details={"gauge": gauge.pairs(),
                                                        "seed": gauge.seed})
-    _write_report(args, _report(args, [args.map], {"property": prop}, [cert], t0))
-    return EXIT_OK if cert.passed else EXIT_VALIDATION
+    return [args.map], {"property": prop}, [cert], EXIT_OK if cert.passed else EXIT_VALIDATION
 
 
-def cmd_embed(args) -> int:
-    t0 = time.time()
+def cmd_embed(args):
     vm = load_map(args.map)
     res = embed(vm, cap=args.exact_cap)
     rows = [[v, res.image[v], *[float(c) for c in res.coords[v]]] for v in sorted(res.coords)]
     width = max((len(r) - 2 for r in rows), default=0)
-    _write_csv(args, "coordinates.csv", ["vertex", "image", *[f"c{k}" for k in range(width)]], rows)
+    _write_csv(args.out, "coordinates.csv",
+               ["vertex", "image", *[f"c{k}" for k in range(width)]], rows)
     certs = []
     if res.plan is not None:
         certs = [fiber_scale_check(res.plan), composition_bound_check(res)]
-        plan_obj = {
+        _write_json(args.out, "plan.json", {
             "N": res.plan.n_mult,
             "c_d": res.plan.c_d,
             "radii": _jsonable(res.plan.rk),
             "nets": _jsonable(res.plan.nets),
             "classes": _jsonable(res.plan.classes),
             "labels": _jsonable(res.plan.labels),
-        }
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "plan.json"), "w") as fh:
-            json.dump(plan_obj, fh, sort_keys=True, indent=2)
-        print(os.path.join(args.out, "plan.json"))
+        }, indent=2)
     results = {
         "injective": res.injective,
         "lower": res.lower,
@@ -318,8 +285,7 @@ def cmd_embed(args) -> int:
         "fiber_pairs": len(res.fiber_report),
         "twelve_rule": all(r["twelve_rule"] for r in res.fiber_report),
     }
-    _write_report(args, _report(args, [args.map], results, certs, t0))
-    return EXIT_OK if res.injective else EXIT_VALIDATION
+    return [args.map], results, certs, EXIT_OK if res.injective else EXIT_VALIDATION
 
 
 def _radius_cap(text: str) -> float:
@@ -413,17 +379,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.time()
     try:
-        return args.fn(args)
-    except ValidationError as exc:
-        print("; ".join(exc.findings), file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+        inputs, results, certificates, code = args.fn(args)
+    except (ValidationError, FileNotFoundError, ResourceCapExceeded) as exc:
         print(str(exc), file=sys.stderr)
-        return EXIT_VALIDATION
-    except ResourceCapExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_RESOURCE
+        return EXIT_RESOURCE if isinstance(exc, ResourceCapExceeded) else EXIT_VALIDATION
+    name = {"validate": "validate.json", "gen": "gen.json"}.get(args.command, "report.json")
+    _write_json(args.out, name, _report(args, inputs, results, certificates, t0), indent=2)
+    return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ one row against each radius and never searches the graph again.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -416,7 +417,8 @@ def map_to_json(vm: VertexMap, source_path: str, target_path: str) -> dict:
 
 def _check_map_json(obj) -> None:
     """Raise the findings of a map JSON object: exactly the map fields, file
-    names for source and target, and a list of [x, y] pairs of string ids."""
+    names for source and target, and a list of [x, y] pairs of string ids
+    with no source id in more than one pair."""
     if not (isinstance(obj, dict) and set(obj) == _MAP_FIELDS):
         raise ValidationError([f"map JSON must be an object with the fields {sorted(_MAP_FIELDS)}"])
     findings = []
@@ -425,10 +427,13 @@ def _check_map_json(obj) -> None:
     if not isinstance(obj["pairs"], list):
         findings.append("pairs must be a list of [x, y] records")
     else:
-        findings.extend(f"pair records must be [x, y] with string ids: {rec}"
-                        for rec in obj["pairs"]
-                        if not (isinstance(rec, list) and len(rec) == 2
-                                and all(isinstance(v, str) for v in rec)))
+        sources: Counter = Counter()
+        for rec in obj["pairs"]:
+            if isinstance(rec, list) and len(rec) == 2 and all(isinstance(v, str) for v in rec):
+                sources[rec[0]] += 1
+            else:
+                findings.append(f"pair records must be [x, y] with string ids: {rec}")
+        findings.extend(f"duplicate source id in pairs: {x}" for x, k in sources.items() if k > 1)
     if findings:
         raise ValidationError(findings)
 

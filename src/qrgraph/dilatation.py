@@ -67,8 +67,6 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
     """
     src = vm.source
     xi = _idx(src, x)
-    if len(src.adj[xi]) == 0:
-        raise ValueError("isolated vertex")
     flags: list[str] = []
     if restrict is None:
         if radius_cap is None:

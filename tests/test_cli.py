@@ -79,6 +79,56 @@ def test_malformed_space_file_is_validation_error(tmp_path, capsys, name):
     assert "Traceback" not in err and err.startswith("invalid: ")
 
 
+_HUGE = int("1" + "0" * 400)  # a JSON integer no float can hold
+TOO_LARGE = {
+    "mass": {**_PAIR, "vertices": [{"id": "a", "mass": _HUGE}, {"id": "b", "mass": 1.0}]},
+    "len": {**_PAIR, "edges": [{"u": "a", "v": "b", "len": _HUGE}]},
+    "dist": {**_PAIR, "dist": [[0, _HUGE], [_HUGE, 0]]},
+    "weight": {"a": _HUGE, "b": 1.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOO_LARGE))
+def test_integer_too_large_for_a_float_is_validation_error(tmp_path, capsys, name):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(TOO_LARGE[name]))
+    if name == "weight":
+        space, fam = tmp_path / "space.json", tmp_path / "fam.json"
+        space.write_text(json.dumps(_PAIR))
+        fam.write_text(json.dumps({"connect": {"E": ["a"], "F": ["b"]}}))
+        argv = ["modulus", "--space", space, "--family", fam, "--weight", path]
+    else:
+        argv = ["validate", path]
+    assert run([*argv, "--out", tmp_path / "o"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _write_map(tmp_path, space: dict, pairs: list) -> str:
+    (tmp_path / "space.json").write_text(json.dumps(space))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"source": "space.json", "target": "space.json",
+                                "pairs": pairs}))
+    return path
+
+
+def test_map_assigning_a_source_vertex_twice_is_validation_error(tmp_path, capsys):
+    path = _write_map(tmp_path, _PAIR, [["a", "a"], ["a", "b"], ["b", "a"]])
+    assert run(["validate", path, "--out", tmp_path / "v"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and "duplicate source id in pairs: a" in err
+
+
+@pytest.mark.parametrize("prop", ["metric-qr", "inverse-qr"])
+def test_single_vertex_map_has_infinite_dilatation(tmp_path, capsys, prop):
+    point = {"vertices": [{"id": "a", "mass": 1.0}], "edges": [], "dist": "path"}
+    path = _write_map(tmp_path, point, [["a", "a"]])
+    assert run(["verify", "--map", path, "--property", prop, "--out", tmp_path / "v"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    cert = json.loads((tmp_path / "v" / "report.json").read_text())["certificates"][0]
+    assert cert["constant"] == math.inf
+    assert "degenerate cap" in cert["details"]["profiles"]["a"]["flags"]
+
+
 class TestSubcommands:
     def test_pullback_emits_matrix_and_report(self, cover_dir, tmp_path):
         out = tmp_path / "pb"
@@ -244,3 +294,26 @@ class TestDeterminism:
         assert _strip_time(a / "report.json") == _strip_time(b / "report.json")
         assert (a / "coordinates.csv").read_text() == (b / "coordinates.csv").read_text()
         assert (a / "plan.json").read_text() == (b / "plan.json").read_text()
+
+    def test_every_subcommand_writes_identical_files_modulo_walltime(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps({"connect": {"E": ["t0000"], "F": ["t0004"]}}))
+        for top in (tmp_path / "a", tmp_path / "b"):
+            gen = top / "gen"
+            assert run(["gen", "--kind", "cycle_cover", "--n", 8, "--m", 2, "--out", gen]) == 0
+            mp = gen / "map.json"
+            runs = [["validate", mp], ["pullback", "--map", mp], ["measure", "--map", mp],
+                    ["modulus", "--space", gen / "target.json", "--family", fam],
+                    ["embed", "--map", mp],
+                    *(["verify", "--map", mp, "--property", prop] for prop in
+                      ("bld", "bdd", "lq", "metric-qr", "inverse-qr", "bqs"))]
+            for k, argv in enumerate(runs):
+                assert run([*argv, "--seed", 7, "--out", top / f"r{k}"]) == 0, argv
+        files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.*"))
+        assert len(files) == 20
+        for rel in files:
+            a, b = ((tmp_path / top / rel).read_text() for top in ("a", "b"))
+            if rel.suffix == ".json":
+                assert a.endswith("\n") and b.endswith("\n"), rel
+            strip = [line for line in a.splitlines() if '"wall_time_s"' not in line]
+            assert strip == [line for line in b.splitlines() if '"wall_time_s"' not in line], rel
