@@ -23,8 +23,9 @@ import numpy as np
 from . import __version__
 from ._tol import TOL
 from .certificates import Certificate, _jsonable
-from .covering import load_map, map_to_json
+from .covering import VertexMap, load_map, map_to_json
 from .dilatation import (
+    _passed,
     bdd_verify,
     bld_verify,
     bqs_gauge,
@@ -60,6 +61,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_USAGE = 64
+
+
+class _UsageError(Exception):
+    """An option value the command cannot use: exit 64."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,21 +127,30 @@ def cmd_validate(args):
 
 
 def cmd_gen(args):
-    if args.kind in ("winding", "cycle_cover"):
-        vm = (gen_winding(args.k, args.levels, args.sectors) if args.kind == "winding"
-              else gen_cycle_cover(args.n, args.m))
-        files = {"source.json": space_to_json(vm.source), "target.json": space_to_json(vm.target),
-                 "map.json": map_to_json(vm, "source.json", "target.json")}
+    if args.kind == "pullback_space":
+        if args.map is None:
+            raise _UsageError("gen --kind pullback_space needs --map")
+        made = gen_pullback_space(load_map(args.map), cap=args.exact_cap)
     else:
-        if args.kind == "cycle":
-            sp = gen_cycle(args.n)
-        elif args.kind == "grid":
-            sp = gen_grid(args.w, args.h)
-        elif args.kind == "polar_grid":
-            sp = gen_polar_grid(args.levels, args.sectors, args.r0, args.r1)
-        else:  # pullback_space
-            sp = gen_pullback_space(load_map(args.map), cap=args.exact_cap)
-        files = {"space.json": space_to_json(sp)}
+        generate = {
+            "winding": lambda: gen_winding(args.k, args.levels, args.sectors),
+            "cycle_cover": lambda: gen_cycle_cover(args.n, args.m),
+            "cycle": lambda: gen_cycle(args.n),
+            "grid": lambda: gen_grid(args.w, args.h),
+            "polar_grid": lambda: gen_polar_grid(args.levels, args.sectors, args.r0, args.r1),
+        }[args.kind]
+        try:
+            made = generate()
+        except ValidationError:
+            raise
+        except ValueError as exc:  # an option out of the generator's range
+            raise _UsageError(str(exc)) from None
+    if isinstance(made, VertexMap):
+        files = {"source.json": space_to_json(made.source),
+                 "target.json": space_to_json(made.target),
+                 "map.json": map_to_json(made, "source.json", "target.json")}
+    else:
+        files = {"space.json": space_to_json(made)}
     for name, obj in files.items():
         _write_json(args.out, name, obj)
     return [], {"written": list(files)}, [], EXIT_OK
@@ -248,9 +262,8 @@ def cmd_verify(args):
             rows[vm.source.ids[x]] = {"H": prof.h_sup, "h": prof.h_inf, "cap": prof.cap,
                                       "flags": list(prof.flags)}
             worst = max(worst, prof.h_sup)
-        passed = args.constant is None or worst <= args.constant + 1e-9
         cert = Certificate("inverse_metric_qr" if inverse else "metric_qr",
-                           passed and math.isfinite(worst), constant=worst,
+                           _passed(worst, args.constant), constant=worst,
                            details={"profiles": rows})
     else:  # bqs
         gauge = bqs_gauge(vm, seed=args.seed)
@@ -294,6 +307,14 @@ def _radius_cap(text: str) -> float:
     value = float(text)
     if not value > TOL:
         raise argparse.ArgumentTypeError(f"radius cap must exceed {TOL}: {text}")
+    return value
+
+
+def _exponent(text: str) -> float:
+    """A modulus exponent p with 1 < p < inf; NaN is none."""
+    value = float(text)
+    if not 1.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"p must satisfy 1 < p < inf: {text}")
     return value
 
 
@@ -349,7 +370,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("modulus", help="discrete p-modulus of a curve family")
     p.add_argument("--space", required=True)
     p.add_argument("--family", required=True)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_exponent, default=2.0, help="exponent, 1 < p < inf")
     p.add_argument("--max-iter", type=int, default=100_000)
     p.add_argument("--weight", default=None,
                    help="JSON file of vertex weights (e.g. a K_O/K_I field) "
@@ -382,8 +403,10 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         inputs, results, certificates, code = args.fn(args)
-    except (ValidationError, FileNotFoundError, ResourceCapExceeded) as exc:
+    except (ValidationError, OSError, ResourceCapExceeded, _UsageError) as exc:
         print(str(exc), file=sys.stderr)
+        if isinstance(exc, _UsageError):
+            return EXIT_USAGE
         return EXIT_RESOURCE if isinstance(exc, ResourceCapExceeded) else EXIT_VALIDATION
     name = {"validate": "validate.json", "gen": "gen.json"}.get(args.command, "report.json")
     _write_json(args.out, name, _report(args, inputs, results, certificates, t0), indent=2)

@@ -227,14 +227,6 @@ class NormalRadiusTable:
         return self.radius[self.vm.target.ids[int(self.vm.f[xi])]]
 
 
-def _fiber_separation(vm: VertexMap, z: int) -> float:
-    fib = sorted(vm.fiber(z))
-    if len(fib) < 2:
-        return float("inf")
-    sub = vm.source.dist[np.ix_(fib, fib)]
-    return float(sub[np.triu_indices(len(fib), 1)].min())
-
-
 def normal_radius(vm: VertexMap, x: int | str) -> tuple[float, dict]:
     """Largest candidate radius R at f(x) such that every candidate r <= R
     satisfies the normal-neighborhood properties (2) disjoint fiber
@@ -246,12 +238,14 @@ def normal_radius(vm: VertexMap, x: int | str) -> tuple[float, dict]:
     """
     tgt = vm.target
     z = int(vm.f[_idx(vm.source, x)])
-    m_z = _fiber_separation(vm, z) / 6.0
+    fib = sorted(vm.fiber(z))
+    seps = vm.source.dist[np.ix_(fib, fib)][np.triu_indices(len(fib), 1)]
+    m_z = float(seps.min(initial=np.inf)) / 6.0  # a sixth of the fibre's separation
     radii = tgt.ball_radii(z)
     if not radii:
         return TOL, {"degenerate": True, "M_z": m_z}
     cut = np.array(radii)[:, None] - TOL
-    level = _u_levels(vm, sorted(vm.fiber(z)))
+    level = _u_levels(vm, fib)
     comps = level[None] < cut[:, :, None]  # (radius, fiber, vertex)
     balls = tgt.dist[z] < cut
     counts = _image_counts(vm, comps)
@@ -316,12 +310,10 @@ def decompose_fibers(vm: VertexMap, domain: Iterable[int] | Iterable[str], n: in
     bd_img = frozenset(int(vm.f[v]) for v in _boundary(src, d_set))
     if f_d != frozenset(range(vm.target.n)) and not bd_img <= _boundary(vm.target, f_d):
         raise ValidationError(["domain not relatively normal: f(boundary) escapes boundary of image"])
-    n_max = max_multiplicity(vm, d_set)
+    counts = np.bincount(vm.f[sorted(d_set)], minlength=vm.target.n)  # N(y, f, D)
+    n_max = int(counts.max(initial=0))
     if not 1 <= n <= n_max:
         raise ValueError(f"n out of range: 1 <= {n} <= {n_max} required")
-    counts = np.zeros(vm.target.n, dtype=int)
-    for v in d_set:
-        counts[int(vm.f[v])] += 1
     d_n = sorted(v for v in d_set if counts[int(vm.f[v])] == n)
     d_n_set = frozenset(d_n)
     # injectivity neighborhoods: the largest sweep radius keeping f injective
@@ -378,25 +370,22 @@ def greedy_cover(
     if bad:
         raise ValidationError([f"5r >= normal radius for ({x}, {r})" for x, r in bad])
     items = sorted(family, key=lambda it: (-it[1], it[0]))
+    units = [u_component(vm, x, r).members for x, r in items]
     chosen: list[tuple[str, float]] = []
     chosen_sets: list[frozenset[int]] = []
     inflated_union: set[int] = set()
-    for x, r in items:
-        u = u_component(vm, x, r).members
+    for (x, r), u in zip(items, units):
         if u <= inflated_union:
             continue
         chosen.append((x, r))
         chosen_sets.append(u)
         inflated_union |= u_component(vm, x, 5.0 * r).members
-    union_in: set[int] = set()
-    for x, r in family:
-        union_in |= u_component(vm, x, r).members
     disjoint = all(
         a.isdisjoint(b) for i, a in enumerate(chosen_sets) for b in chosen_sets[i + 1:]
     )
     report = {
         "disjoint": disjoint,
-        "covers_union": union_in <= inflated_union,
+        "covers_union": set().union(*units) <= inflated_union,
         "chosen": list(chosen),
     }
     return chosen, report

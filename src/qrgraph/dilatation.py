@@ -144,7 +144,9 @@ def lipschitz_field(vm: VertexMap) -> dict[str, tuple[float, float]]:
 
 
 def _passed(worst: float, bound: float | None) -> bool:
-    return worst <= bound + TOL if bound is not None else math.isfinite(worst)
+    """The verdict of every verifier: a finite constant, and with a bound, at
+    most the bound plus TOL."""
+    return math.isfinite(worst) and (bound is None or worst <= bound + TOL)
 
 
 def _distortion_certificate(kind: str, vm: VertexMap, bound: float | None, curve_budget: int,

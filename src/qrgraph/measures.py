@@ -83,9 +83,6 @@ class JacobianField:
     def of(self, vid: str) -> float:
         return float(self.jac[self.vm.source.i(vid)])
 
-    def inv_of(self, vid: str) -> float:
-        return float(self.jac_inv[self.vm.source.i(vid)])
-
 
 def jacobians(
     vm: VertexMap,

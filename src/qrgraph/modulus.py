@@ -105,8 +105,9 @@ class Density:
         self.values.setflags(write=False)
 
     def line_integral(self, curve: Curve) -> float:
-        lens = np.array([self.space.edge_length(e) for e in curve.edge_indices()])
-        vals = np.array([self.values[e] for e in curve.edge_indices()])
+        edges = curve.edge_indices()
+        lens = np.array([self.space.edge_length(e) for e in edges])
+        vals = self.values[edges]
         return float((lens * vals).sum()) if lens.size else 0.0
 
 
@@ -130,7 +131,8 @@ def edge_measures(space: Space, weight=None, edge_weight=None) -> np.ndarray:
 
     A vertex weight profile w (default: masses) gives m_e = (w_u + w_v)/2;
     an explicit edge weight profile gives m_e = w_e * len_e, matching the
-    reported value sum(w_e rho_e^p len_e).
+    reported value sum(w_e rho_e^p len_e).  A weight that is not finite and
+    nonnegative is a ValidationError naming its vertex or edge.
     """
     if edge_weight is not None:
         if isinstance(edge_weight, np.ndarray):
@@ -139,9 +141,19 @@ def edge_measures(space: Space, weight=None, edge_weight=None) -> np.ndarray:
             w_e = np.array([
                 float(edge_weight[(space.ids[i], space.ids[j])]) for i, j, _ln in space.edges
             ])
+        _check_weights(w_e, [f"{space.ids[i]}-{space.ids[j]}" for i, j, _ln in space.edges], "edge")
         return w_e * np.array([ln for _i, _j, ln in space.edges])
     w = _vertex_array(space, weight)
+    _check_weights(w, space.ids, "vertex")
     return np.array([(w[i] + w[j]) / 2.0 for i, j, _ln in space.edges])
+
+
+def _check_weights(w: np.ndarray, names: Sequence[str], kind: str) -> None:
+    """One finding per weight that is not finite and nonnegative."""
+    bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
+    if bad.size:
+        raise ValidationError([f"{kind} weight not finite and nonnegative at {names[k]}: {w[k]}"
+                               for k in bad.tolist()])
 
 
 # -- constraint rows and oracles ----------------------------------------------
@@ -321,11 +333,6 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
 # -- inner solvers -------------------------------------------------------------
 
 
-def _dual_value(m: np.ndarray, p: float, s: np.ndarray, lam_total: float) -> float:
-    rho = _rho_of(m, p, s)
-    return lam_total - (p - 1.0) * float((m * rho ** p).sum())
-
-
 def _rho_of(m: np.ndarray, p: float, s: np.ndarray) -> np.ndarray:
     # edges never touched by a constraint keep rho = 0, even at measure 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -336,8 +343,8 @@ def _rho_of(m: np.ndarray, p: float, s: np.ndarray) -> np.ndarray:
 def _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget):
     """Maximises the restricted dual sum(lam) - (p-1) sum(m rho(lam)^p) over
     lam >= 0 in place, for the rows A stacked in CSR parts (coef, cols,
-    indptr); its gradient is 1 - A rho(lam).  Returns (s = A^T lam, units
-    used).
+    indptr); its gradient is 1 - A rho(lam).  Returns (s = A^T lam,
+    rho(lam), units used).
 
     One unit is the projected-gradient test at the given lam: every row
     with lam > 0 tight within ``inner_tol``, every other row satisfied
@@ -346,9 +353,10 @@ def _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget):
     n_rows = lam.size
     owner = np.repeat(np.arange(n_rows), np.diff(indptr))
     s = np.bincount(cols, weights=lam[owner] * coef, minlength=m.size)
-    slack = 1.0 - np.add.reduceat(coef * _rho_of(m, p, s)[cols], indptr[:-1])
+    rho = _rho_of(m, p, s)
+    slack = 1.0 - np.add.reduceat(coef * rho[cols], indptr[:-1])
     if np.where(lam > 0.0, np.abs(slack), slack).max() <= inner_tol:
-        return s, 1
+        return s, rho, 1
     from scipy.optimize import minimize
 
     a = csr_matrix((coef, cols, indptr), shape=(n_rows, m.size))
@@ -361,7 +369,8 @@ def _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget):
     res = minimize(neg_dual, lam, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * n_rows,
                    options={"maxiter": budget, "gtol": inner_tol, "ftol": 0.0})
     lam[:] = res.x
-    return at @ lam, 1 + int(res.nit)
+    s = at @ lam
+    return s, _rho_of(m, p, s), 1 + int(res.nit)
 
 
 # -- the solver ----------------------------------------------------------------
@@ -379,8 +388,8 @@ def _solve_program(
     rho_hat is admissible for the family within floating error; value is its
     energy; gap = value - dual lower bound >= value - Mod >= 0.
     """
-    if p <= 1:
-        raise ValueError("modulus requires p > 1")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"modulus requires 1 < p < inf, got p = {p}")
     n_e = m.shape[0]
     rho0 = np.zeros(n_e)
     val, row = oracle(rho0)
@@ -416,20 +425,19 @@ def _solve_program(
         coef = np.concatenate([coef, c])
         lam = np.append(lam, lam0)
         budget = max(1000, max_iter - iterations)
-        s, used = _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget)
+        s, rho, used = _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget)
         iterations += used
-        val, row = oracle(_rho_of(m, p, s))
+        val, row = oracle(rho)
         if val >= 1.0 - tol:
             break
         if iterations >= max_iter:
             flags.append("iteration cap")
             break
-    rho = _rho_of(m, p, s)
     if val <= 0:
         return rho, math.inf, math.inf, iterations, tuple(flags + ["no admissible scaling"])
     rho_hat = rho / val
     value = float((m * rho_hat ** p).sum())
-    dual = _dual_value(m, p, s, float(np.sum(lam)))
+    dual = float(np.sum(lam)) - (p - 1.0) * float((m * rho ** p).sum())
     gap = max(0.0, value - dual)
     return rho_hat, value, gap, iterations, tuple(flags)
 
@@ -605,10 +613,7 @@ def ko_certificate(vm: VertexMap, families: Sequence[CurveFamily], q: float = 2.
     def weight(fam: CurveFamily) -> np.ndarray:
         carrier = fam.connect[2] if fam.connect is not None else frozenset(
             v for c in fam.curves for v in c.vertices)
-        counts = np.zeros(vm.target.n)
-        for v in carrier:
-            counts[int(vm.f[v])] += 1.0
-        return counts * nu_arr
+        return np.bincount(vm.f[list(carrier)], minlength=vm.target.n) * nu_arr
 
     return _ratio_certificate("ko_inequality", vm, families, q, tol, weight,
                               "image_weighted", image_over_source=False)

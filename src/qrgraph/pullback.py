@@ -210,12 +210,14 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
 def zero_distance_pairs(vm: VertexMap) -> list[tuple[str, str]]:
     """Pairs at pullback distance zero: distinct vertices joined inside an
     f-constant connected subgraph (the discreteness failure detector)."""
-    src = vm.source
+    src, f = vm.source, vm.f.tolist()
+    collapsed: dict[int, set[int]] = {}  # image -> ends of the edges collapsed onto it
+    for i, j, _l in src.edges:
+        if f[i] == f[j]:
+            collapsed.setdefault(f[i], set()).update((i, j))
     pairs: list[tuple[str, str]] = []
-    for y in range(vm.target.n):
-        fib = vm.fiber(y)
-        touched = frozenset(v for i, j, _l in src.edges if i in fib and j in fib for v in (i, j))
-        for comp in _components_idx(src, touched):
+    for y in sorted(collapsed):
+        for comp in _components_idx(src, frozenset(collapsed[y])):
             comp_sorted = sorted(comp)
             pairs.extend(
                 (src.ids[a], src.ids[b])
@@ -264,9 +266,9 @@ def factorize(vm: VertexMap, metric: str = "exact", cap: int = EXACT_CAP_DEFAULT
 
 
 def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | None = None,
-                    n_random: int = 0, max_random_edges: int = 8) -> list[tuple[int, ...]]:
+                    n_random: int = 0) -> list[tuple[int, ...]]:
     """All simple paths with 1..max_edges edges, plus optional seeded random
-    simple walks; deterministic order."""
+    simple walks of up to 8 edges; deterministic order."""
     out: list[tuple[int, ...]] = []
     for start in range(space.n):
         stack: list[tuple[int, ...]] = [(start,)]
@@ -282,7 +284,7 @@ def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | Non
         for _ in range(n_random):
             v = int(rng.integers(space.n))
             path = [v]
-            for _step in range(max_random_edges):
+            for _step in range(8):
                 nbrs = [w for w, _e in space.adj[path[-1]] if w not in path]
                 if not nbrs:
                     break

@@ -206,20 +206,11 @@ class Space:
     def edge_length(self, e: int) -> float:
         return self.edges[e][2]
 
-    def neighbors(self, i: int) -> tuple[tuple[int, int], ...]:
-        """(neighbor index, edge index) pairs, sorted by neighbor index."""
-        return self.adj[i]
-
     def mass_of(self, vid: str) -> float:
         return float(self.mass[self.i(vid)])
 
     def total_mass(self) -> float:
         return float(self.mass.sum())
-
-    def distance_values(self) -> np.ndarray:
-        """Sorted distinct positive entries of the distance matrix."""
-        vals = np.unique(self.dist[np.triu_indices(self.n, 1)]) if self.n > 1 else np.array([])
-        return vals[vals > TOL]
 
     def ball_radii(self, center: int) -> list[float]:
         """Sweep radii realizing every nontrivial closed ball around ``center``.
@@ -295,20 +286,11 @@ class Curve:
         sp = self.space
         return [sp.edge_index[(a, b)] for a, b in zip(self.vertices, self.vertices[1:])]
 
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
 
 # -- operations --------------------------------------------------------------
 
 
 def _apsp(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
-    if n == 0:
-        return np.zeros((0, 0))
-    if not edges:
-        out = np.full((n, n), np.inf)
-        np.fill_diagonal(out, 0.0)
-        return out
     rows = [e[0] for e in edges] + [e[1] for e in edges]
     cols = [e[1] for e in edges] + [e[0] for e in edges]
     vals = [e[2] for e in edges] * 2
@@ -381,29 +363,23 @@ def _vertex_array(space: Space, values: Mapping[str, float] | np.ndarray | None)
     return np.array([float(values[v]) for v in space.ids], dtype=float)
 
 
-def _component_of(space: Space, members: frozenset[int], x: int) -> frozenset[int]:
-    """The x-component of the subgraph induced on ``members``."""
-    if x not in members:
-        raise AssertionError("vertex not in the set it should anchor")
-    comp = {x}
-    stack = [x]
-    while stack:
-        v = stack.pop()
-        for w, _e in space.adj[v]:
-            if w in members and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return frozenset(comp)
-
-
 def _components_idx(space: Space, members: frozenset[int]) -> list[frozenset[int]]:
-    """Components of the induced subgraph, ordered by smallest member."""
-    remaining = set(members)
+    """Components of the induced subgraph, ordered by smallest member: one
+    search from each member, in ascending order, that no earlier component
+    holds."""
+    seen: set[int] = set()
     out: list[frozenset[int]] = []
-    while remaining:
-        comp = _component_of(space, members, min(remaining))
-        remaining -= comp
-        out.append(comp)
+    for x in sorted(members):
+        if x in seen:
+            continue
+        comp, stack = {x}, [x]
+        while stack:
+            for w, _e in space.adj[stack.pop()]:
+                if w in members and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        out.append(frozenset(comp))
     return out
 
 
@@ -486,7 +462,7 @@ def doubling_constant(space: Space, exact_cap: int = 16) -> DoublingResult:
     exact = space.n <= exact_cap
     search = _max_separated_exact if exact else _max_separated_greedy
     best = 1 if space.n else 0
-    radii = [float(v) for v in space.distance_values()]
+    radii = [float(v) for v in np.unique(space.dist[np.triu_indices(space.n, 1)]) if v > TOL]
     # radii realize all distinct open balls: just above each distance value
     sweep = sorted({(a + b) / 2.0 for a, b in zip(radii, radii[1:])} | {r + 1.0 for r in radii[-1:]})
     for c in range(space.n):

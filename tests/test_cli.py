@@ -129,6 +129,66 @@ def test_single_vertex_map_has_infinite_dilatation(tmp_path, capsys, prop):
     assert "degenerate cap" in cert["details"]["profiles"]["a"]["flags"]
 
 
+@pytest.mark.parametrize("prop", ["bld", "bdd"])
+def test_infinite_constant_fails_an_infinite_bound(tmp_path, prop):
+    # a-b-c onto a-b with a, b -> a collapses the edge a-b: infinite distortion
+    path3 = {**_PAIR, "vertices": [{"id": v, "mass": 1.0} for v in "abc"],
+             "edges": [{"u": "a", "v": "b", "len": 1.0}, {"u": "b", "v": "c", "len": 1.0}]}
+    (tmp_path / "source.json").write_text(json.dumps(path3))
+    (tmp_path / "target.json").write_text(json.dumps(_PAIR))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"source": "source.json", "target": "target.json",
+                                "pairs": [["a", "a"], ["b", "a"], ["c", "b"]]}))
+    assert run(["verify", "--map", path, "--property", prop, "--constant", "inf",
+                "--out", tmp_path / "v"]) == 2
+    cert = json.loads((tmp_path / "v" / "report.json").read_text())["certificates"][0]
+    assert cert["constant"] == math.inf and cert["passed"] is False
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "1", "0.5"])
+def test_modulus_exponent_outside_one_to_infinity_is_usage_error(tmp_path, capsys, p):
+    space, fam = tmp_path / "space.json", tmp_path / "fam.json"
+    space.write_text(json.dumps(_PAIR))
+    fam.write_text(json.dumps({"connect": {"E": ["a"], "F": ["b"]}}))
+    assert run(["modulus", "--space", space, "--family", fam, "--p", p,
+                "--out", tmp_path / "o"]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "1 < p < inf" in err
+
+
+@pytest.mark.parametrize("weight", ["Infinity", "NaN", "-1.0"])
+def test_non_finite_or_negative_weight_is_validation_error(tmp_path, capsys, weight):
+    space, fam, wfile = tmp_path / "space.json", tmp_path / "fam.json", tmp_path / "w.json"
+    space.write_text(json.dumps(_PAIR))
+    fam.write_text(json.dumps({"connect": {"E": ["a"], "F": ["b"]}}))
+    wfile.write_text('{"a": %s, "b": 1.0}' % weight)
+    assert run(["modulus", "--space", space, "--family", fam, "--weight", wfile,
+                "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "vertex weight not finite and nonnegative at a" in err
+
+
+USAGE_OR_INPUT_ERRORS = [
+    (["validate", "<tmp>"], 2),  # a directory
+    (["gen", "--kind", "grid", "--w", 0], 64),
+    (["gen", "--kind", "cycle", "--n", 2], 64),
+    (["gen", "--kind", "cycle_cover", "--n", 2], 64),
+    (["gen", "--kind", "winding", "--k", 0], 64),
+    (["gen", "--kind", "winding", "--sectors", 2], 64),
+    (["gen", "--kind", "polar_grid", "--r0", 2, "--r1", 1], 64),
+    (["gen", "--kind", "pullback_space"], 64),  # no --map
+]
+
+
+@pytest.mark.parametrize("argv, code", USAGE_OR_INPUT_ERRORS,
+                         ids=[" ".join(map(str, a)) for a, _c in USAGE_OR_INPUT_ERRORS])
+def test_bad_input_ends_in_an_exit_code_not_a_traceback(tmp_path, capsys, argv, code):
+    argv = [tmp_path if a == "<tmp>" else a for a in argv]
+    assert run([*argv, "--out", tmp_path / "o"]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 class TestSubcommands:
     def test_pullback_emits_matrix_and_report(self, cover_dir, tmp_path):
         out = tmp_path / "pb"

@@ -206,3 +206,17 @@ class TestZeroDistanceSamples:
         assert cert.constant == math.inf
         assert not cert.passed
         assert cert.witness == ["a", "b"]
+
+
+def collapsing_path():
+    """The path a-b-c onto the edge x-y with a, b -> x: the edge a-b collapses."""
+    src = Space.build([(v, 1.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", 1.0)], "path")
+    tgt = Space.build([("x", 1.0), ("y", 1.0)], [("x", "y", 1.0)], "path")
+    return VertexMap.build(src, tgt, {"a": "x", "b": "x", "c": "y"})
+
+
+@pytest.mark.parametrize("verify", [bld_verify, bdd_verify])
+def test_infinite_constant_fails_an_infinite_bound(verify):
+    cert = verify(collapsing_path(), bound=math.inf)
+    assert cert.constant == math.inf
+    assert not cert.passed

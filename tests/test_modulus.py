@@ -78,6 +78,12 @@ class TestSolverBasics:
         res = modulus(fam)
         assert res.value == 0.0 and "empty family" in res.flags
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0, 0.5])
+    def test_exponent_outside_one_to_infinity_raises(self, p):
+        sp = Space.build([(v, 1.0) for v in "ab"], [("a", "b", 1.0)], "path")
+        with pytest.raises(ValueError, match="1 < p < inf"):
+            modulus(CurveFamily.connecting(sp, ["a"], ["b"]), p=p)
+
     def test_density_admissible(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
@@ -144,6 +150,16 @@ class TestWeights:
         fam = CurveFamily.explicit(sp, [Curve.from_ids(sp, ["v0", "v1", "v2"])])
         res = modulus(fam, p=2, weight={"v0": 2.0, "v1": 2.0, "v2": 2.0})
         assert res.value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_weight_is_validation_error(self, bad):
+        sp = Space.build([(f"v{i}", 1.0) for i in range(3)],
+                         [("v0", "v1", 1.0), ("v1", "v2", 1.0)], "path")
+        fam = CurveFamily.explicit(sp, [Curve.from_ids(sp, ["v0", "v1", "v2"])])
+        with pytest.raises(spaces.ValidationError, match="vertex weight .* at v1:"):
+            modulus(fam, weight={"v0": 1.0, "v1": bad, "v2": 1.0})
+        with pytest.raises(spaces.ValidationError, match="edge weight .* at v1-v2:"):
+            modulus(fam, edge_weight={("v0", "v1"): 1.0, ("v1", "v2"): bad})
 
     def test_projection_satisfies_ko_with_constant_one(self):
         # the factorization projection obeys Mod(Gamma) <= weighted image
