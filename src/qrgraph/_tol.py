@@ -10,11 +10,11 @@ from __future__ import annotations
 TOL = 1e-9
 
 
-def le(a: float, b: float, tol: float = TOL) -> bool:
-    """a <= b, where values within tol count as equal."""
-    return a <= b + tol
+def le(a: float, b: float) -> bool:
+    """a <= b, where values within TOL count as equal."""
+    return a <= b + TOL
 
 
-def ge(a: float, b: float, tol: float = TOL) -> bool:
-    """a >= b, where values within tol count as equal."""
-    return a >= b - tol
+def ge(a: float, b: float) -> bool:
+    """a >= b, where values within TOL count as equal."""
+    return a >= b - TOL

@@ -49,7 +49,7 @@ from .measures import (
     jacobians,
     pullback_measure,
 )
-from .modulus import CurveFamily, modulus
+from .modulus import MAX_ITER_DEFAULT, TOL_DEFAULT, CurveFamily, modulus
 from .pullback import (EXACT_CAP_DEFAULT, ResourceCapExceeded, bld_bdd_transfer_check,
                        factorize, verify_projection)
 from .spaces import (Curve, ValidationError, _is_number, _read_json, load_space,
@@ -371,11 +371,11 @@ def main(argv=None) -> int:
     p.add_argument("--space", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=_exponent, default=2.0, help="exponent, 1 < p < inf")
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
     p.add_argument("--weight", default=None,
                    help="JSON file of vertex weights (e.g. a K_O/K_I field) "
                         "for the weighted modulus")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=TOL_DEFAULT)
     common(p)
     p.set_defaults(fn=cmd_modulus)
 

@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexMap:
     """Surjective, edge-compatible vertex map between two Spaces."""
 
@@ -124,16 +124,9 @@ def multiplicity(vm: VertexMap, y: int | str, members: Iterable[int] | None = No
     return len(fib & set(int(v) for v in members))
 
 
-def max_multiplicity(vm: VertexMap, members: Iterable[int] | None = None) -> int:
-    """N(f, A) = max over target vertices of multiplicity."""
-    if members is None:
-        counts = np.bincount(vm.f, minlength=vm.target.n)
-    else:
-        sel = np.fromiter((int(v) for v in members), dtype=int)
-        if sel.size == 0:
-            return 0
-        counts = np.bincount(vm.f[sel], minlength=vm.target.n)
-    return int(counts.max(initial=0))
+def max_multiplicity(vm: VertexMap) -> int:
+    """N(f) = max over target vertices y of N(y, f, X)."""
+    return int(np.bincount(vm.f, minlength=vm.target.n).max(initial=0))
 
 
 def _u_levels(vm: VertexMap, xs: Sequence[int]) -> np.ndarray:
@@ -170,6 +163,13 @@ def u_component(vm: VertexMap, x: int | str, r: float) -> Continuum:
     if not row[xi] < r - TOL:
         raise ValueError(f"u_component: {vm.source.ids[xi]} lies outside B(f(x), {r})")
     return Continuum(vm.source, frozenset(np.flatnonzero(row < r - TOL).tolist()))
+
+
+def _check_cap(name: str, cap: float | None) -> None:
+    """A given radius cap must exceed TOL or be inf: a smaller one, or NaN,
+    leaves every vertex outside its own ball."""
+    if cap is not None and not cap > TOL:
+        raise ValueError(f"{name}: the cap must exceed {TOL}, got {cap}")
 
 
 def _local_indices(vm: VertexMap, xs: Sequence[int]) -> np.ndarray:

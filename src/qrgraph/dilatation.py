@@ -17,7 +17,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _boundary, _u_levels, normal_radius
+from .covering import VertexMap, _boundary, _check_cap, _u_levels, normal_radius
 from .pullback import _worst_distortion, enumerate_paths
 from .spaces import Space, _diameters, _idx, ball_closed
 
@@ -32,6 +32,8 @@ __all__ = [
     "bqs_gauge",
     "BqsGauge",
 ]
+
+BQS_MAX_PAIRS = 4000
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,11 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
     discrete surrogate of the r -> 0 limit is local, and an unbounded far
     shell would see opposite-sheet fiber points (image distance ~ 0) on any
     covering map.  ``restrict`` overrides the neighborhood explicitly.  A
-    cap that leaves x outside its own ball gives no rows (H = inf), flagged
-    "empty neighbourhood".
+    given cap must exceed TOL (ValueError otherwise); one that still leaves
+    x outside its own ball, as an explicit target diagonal can, gives no
+    rows (H = inf), flagged "empty neighbourhood".
     """
+    _check_cap("dilatation_profile", radius_cap)
     src = vm.source
     xi = _idx(src, x)
     flags: list[str] = []
@@ -102,7 +106,9 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
 def inverse_dilatation_profile(vm: VertexMap, x: int | str,
                                scale_cap: float | None = None) -> DilatationProfile:
     """H*_f(x, s) from the boundary of U(x, f, s): L*, l* are the max/min
-    source distances from x to vertices of U having a neighbor outside it."""
+    source distances from x to vertices of U having a neighbor outside it.
+    A given cap must exceed TOL (ValueError otherwise)."""
+    _check_cap("inverse_dilatation_profile", scale_cap)
     src = vm.source
     xi = _idx(src, x)
     flags: list[str] = []
@@ -252,11 +258,10 @@ def _connected_sample(space: Space, seed: int, budget: int) -> list[frozenset[in
     return uniq
 
 
-def bqs_gauge(vm: VertexMap, seed: int = 0, budget: int = 60,
-              max_pairs: int = 4000) -> BqsGauge:
+def bqs_gauge(vm: VertexMap, seed: int = 0, budget: int = 60) -> BqsGauge:
     """Sampled branched-quasisymmetry gauge over intersecting continuum pairs:
-    collect (t, ratio) = (diam E / diam F, diam f(E) / diam f(F)) and return
-    the running-max step function."""
+    collect (t, ratio) = (diam E / diam F, diam f(E) / diam f(F)) for at most
+    BQS_MAX_PAIRS pairs and return the running-max step function."""
     src = vm.source
     sample = _connected_sample(src, seed, budget)
     diam = _diameters(src, sample).tolist()
@@ -271,9 +276,9 @@ def bqs_gauge(vm: VertexMap, seed: int = 0, budget: int = 60,
                 continue
             pts.append((diam[a] / diam[b], img[a] / img[b]))
             count += 1
-            if count >= max_pairs:
+            if count >= BQS_MAX_PAIRS:
                 break
-        if count >= max_pairs:
+        if count >= BQS_MAX_PAIRS:
             break
     pts.sort()
     support: list[float] = []

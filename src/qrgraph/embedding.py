@@ -224,7 +224,7 @@ def phi(plan: EmbeddingPlan, x: int | str) -> np.ndarray:
     return _coordinates(plan)[_idx(plan.vm.source, x)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingResult:
     plan: EmbeddingPlan | None
     coords: dict[str, np.ndarray]

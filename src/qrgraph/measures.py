@@ -10,7 +10,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _u_levels, normal_radius
+from .covering import VertexMap, _check_cap, _u_levels, normal_radius
 from .spaces import _idx, _vertex_array
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PullbackMeasure:
     """f*nu: per-vertex mass nu(f(x)); total = sum_y N(y,f,X) nu(y)."""
 
@@ -69,16 +69,15 @@ def change_of_variables_check(
                        details={"lhs": lhs, "rhs": rhs})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobianField:
     """J_f = d(f*nu)/d(mu) and its reciprocal, as exact vertex ratios.
-    Infinite entries are flagged where the denominator mass vanishes."""
+    ``infinite`` lists the vertices where J_f is infinite, mu = 0 < f*nu."""
 
     vm: VertexMap
     jac: np.ndarray
     jac_inv: np.ndarray
     infinite: frozenset[str]
-    infinite_inv: frozenset[str]
 
     def of(self, vid: str) -> float:
         return float(self.jac[self.vm.source.i(vid)])
@@ -92,8 +91,8 @@ def jacobians(
     mu_arr = _vertex_array(vm.source, mu)
     nu_img = _vertex_array(vm.target, nu)[vm.f]
     jac, inf_j = _ratio_field(nu_img, mu_arr, vm.source.ids)
-    jac_inv, inf_ji = _ratio_field(mu_arr, nu_img, vm.source.ids)
-    return JacobianField(vm=vm, jac=jac, jac_inv=jac_inv, infinite=inf_j, infinite_inv=inf_ji)
+    jac_inv, _inf = _ratio_field(mu_arr, nu_img, vm.source.ids)
+    return JacobianField(vm=vm, jac=jac, jac_inv=jac_inv, infinite=inf_j)
 
 
 def _ratio_field(num: np.ndarray, den: np.ndarray, ids) -> tuple[np.ndarray, frozenset[str]]:
@@ -115,10 +114,10 @@ def area_inequality_check(
     rho: Mapping[str, float] | np.ndarray,
     mu: Mapping[str, float] | np.ndarray | None = None,
     nu: Mapping[str, float] | np.ndarray | None = None,
-    rel_tol: float = 1e-12,
 ) -> Certificate:
     """sum_x rho J_f mu <= sum_y [sum_{x in f^-1(y)} rho(x)] nu(y), with
-    equality (for every rho) exactly when Condition N holds."""
+    equality (for every rho) exactly when Condition N holds; both sides
+    compare within a relative 1e-12."""
     mu_arr = _vertex_array(vm.source, mu)
     nu_arr = _vertex_array(vm.target, nu)
     rho_arr = _vertex_array(vm.source, rho)
@@ -128,10 +127,10 @@ def area_inequality_check(
     fiber_sums = np.zeros(vm.target.n)
     np.add.at(fiber_sums, vm.f, rho_arr)
     rhs = float((fiber_sums * nu_arr).sum())
-    scale = max(abs(lhs), abs(rhs), 1.0)
-    holds = lhs <= rhs + rel_tol * scale
+    slack = 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+    holds = lhs <= rhs + slack
     cond_n = condition_N_check(vm, mu_arr, nu_arr)
-    equal = abs(lhs - rhs) <= rel_tol * scale
+    equal = abs(lhs - rhs) <= slack
     consistent = equal or not cond_n.passed
     return Certificate(
         "area_inequality", holds and consistent,
@@ -164,7 +163,9 @@ def essential_index(vm: VertexMap, x: int | str, nu=None, r: float | None = None
 def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
                             cap: float | None = None) -> tuple[float, float, list[tuple[float, float]]]:
     """Max of the essential index over candidate radii not exceeding the cap
-    (default: the normal radius at f(x)); returns (value, cap, per-radius)."""
+    (default: the normal radius at f(x)); returns (value, cap, per-radius).
+    A given cap must exceed TOL (ValueError otherwise)."""
+    _check_cap("essential_index_profile", cap)
     xi = _idx(vm.source, x)
     if cap is None:
         cap, _rec = normal_radius(vm, xi)

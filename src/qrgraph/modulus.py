@@ -64,6 +64,11 @@ __all__ = [
     "analytic_qr_constant",
 ]
 
+# The one home of the solver defaults: ``modulus``, the CLI's --tol and
+# --max-iter, and every derived solve (annulus, Loewner, certificates) read them.
+TOL_DEFAULT = 1e-6
+MAX_ITER_DEFAULT = 100_000
+
 
 @dataclass(frozen=True)
 class CurveFamily:
@@ -94,7 +99,7 @@ class CurveFamily:
         return cls(space=space, connect=(e_idx, f_idx, w_idx | e_idx | f_idx))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Density:
     """Nonnegative edge density; line integrals are sum(rho_e * len_e)."""
 
@@ -388,8 +393,7 @@ def _solve_program(
     rho_hat is admissible for the family within floating error; value is its
     energy; gap = value - dual lower bound >= value - Mod >= 0.
     """
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"modulus requires 1 < p < inf, got p = {p}")
+    _check_exponent(p)
     n_e = m.shape[0]
     rho0 = np.zeros(n_e)
     val, row = oracle(rho0)
@@ -442,12 +446,23 @@ def _solve_program(
     return rho_hat, value, gap, iterations, tuple(flags)
 
 
+def _check_exponent(p: float) -> None:
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"modulus requires 1 < p < inf, got p = {p}")
+
+
+def _weight_kind(weight, edge_weight=None) -> str:
+    if edge_weight is not None:
+        return "edge"
+    return "masses" if weight is None else "vertex"
+
+
 def modulus(
     family: CurveFamily,
     p: float = 2.0,
     weight=None,
-    tol: float = 1e-6,
-    max_iter: int = 100_000,
+    tol: float = TOL_DEFAULT,
+    max_iter: int = MAX_ITER_DEFAULT,
     edge_weight=None,
 ) -> ModulusResult:
     """Mod_p of the family: inf of sum(m_e rho_e^p) over admissible densities."""
@@ -455,13 +470,11 @@ def modulus(
     m = edge_measures(space, weight, edge_weight)
     oracle = _family_oracle(family)
     rho_hat, value, gap, iters, flags = _solve_program(m, p, oracle, tol, max_iter)
-    kind = "masses" if weight is None and edge_weight is None else (
-        "vertex" if edge_weight is None else "edge")
     return ModulusResult(
         value=value,
         density=Density(space=space, values=rho_hat),
         p=p,
-        weight_kind=kind,
+        weight_kind=_weight_kind(weight, edge_weight),
         iterations=iters,
         gap=gap,
         exact=bool(gap <= 10 * tol and not flags),
@@ -560,9 +573,11 @@ def _active_set_qp(m: np.ndarray, a_mat: np.ndarray) -> float | None:
 
 
 def annulus_modulus(space: Space, center: str, r: float, s: float, p: float = 2.0,
-                    weight=None, tol: float = 1e-6) -> ModulusResult:
+                    weight=None) -> ModulusResult:
     """Modulus of the family connecting the shells {d <= r} and {d >= s}
-    inside the closed ball of radius s (two-sided shell convention)."""
+    inside the closed ball of radius s (two-sided shell convention).  Shells
+    that are empty or overlap give the value 0, flagged "degenerate"."""
+    _check_exponent(p)
     c = space.i(center)
     d_row = space.dist[c]
     e_set = frozenset(int(k) for k in np.nonzero(d_row <= r + TOL)[0])
@@ -570,14 +585,14 @@ def annulus_modulus(space: Space, center: str, r: float, s: float, p: float = 2.
     f_set = frozenset(int(k) for k in carrier if d_row[k] >= s - TOL)
     zero = Density(space=space, values=np.zeros(len(space.edges)))
     if not e_set or not f_set or (e_set & f_set):
-        return ModulusResult(value=0.0, density=zero, p=p, weight_kind="masses",
+        return ModulusResult(value=0.0, density=zero, p=p, weight_kind=_weight_kind(weight),
                              iterations=0, gap=0.0, exact=True, flags=("degenerate",))
     family = CurveFamily.connecting(space, e_set, f_set, carrier)
-    return modulus(family, p=p, weight=weight, tol=tol)
+    return modulus(family, p=p, weight=weight)
 
 
 def loewner_profile(space: Space, pairs: Sequence[tuple[Iterable, Iterable]],
-                    q: float = 2.0, weight=None, tol: float = 1e-6) -> list[dict]:
+                    q: float = 2.0, weight=None) -> list[dict]:
     """(zeta, Mod_Q) rows for pairs of continua: zeta = dist(E,F)/min diam."""
     out = []
     for e_set, f_set in pairs:
@@ -587,8 +602,7 @@ def loewner_profile(space: Space, pairs: Sequence[tuple[Iterable, Iterable]],
         df = diameter(space, f_idx)
         gap = float(space.dist[np.ix_(e_idx, f_idx)].min())
         zeta = gap / min(de, df) if min(de, df) > 0 else math.inf
-        res = modulus(CurveFamily.connecting(space, e_idx, f_idx), p=q,
-                      weight=weight, tol=tol)
+        res = modulus(CurveFamily.connecting(space, e_idx, f_idx), p=q, weight=weight)
         out.append({"zeta": zeta, "modulus": res.value, "flags": list(res.flags)})
     return out
 
@@ -605,7 +619,7 @@ def minimal_upper_gradient(space: Space, u: Mapping[str, float] | np.ndarray) ->
 
 
 def ko_certificate(vm: VertexMap, families: Sequence[CurveFamily], q: float = 2.0,
-                   nu=None, tol: float = 1e-6) -> Certificate:
+                   nu=None) -> Certificate:
     """K_O-inequality constant: max over sampled families of
     Mod_Q(Gamma) / Mod_Q(f(Gamma); N(y,f,Omega0) nu)."""
     nu_arr = _vertex_array(vm.target, nu)
@@ -615,19 +629,18 @@ def ko_certificate(vm: VertexMap, families: Sequence[CurveFamily], q: float = 2.
             v for c in fam.curves for v in c.vertices)
         return np.bincount(vm.f[list(carrier)], minlength=vm.target.n) * nu_arr
 
-    return _ratio_certificate("ko_inequality", vm, families, q, tol, weight,
+    return _ratio_certificate("ko_inequality", vm, families, q, weight,
                               "image_weighted", image_over_source=False)
 
 
-def ki_certificate(vm: VertexMap, families: Sequence[CurveFamily], q: float = 2.0,
-                   nu=None, tol: float = 1e-6) -> Certificate:
+def ki_certificate(vm: VertexMap, families: Sequence[CurveFamily], q: float = 2.0) -> Certificate:
     """Poletsky constant: max over sampled families of Mod_Q(f(Gamma)) / Mod_Q(Gamma)."""
-    return _ratio_certificate("ki_inequality", vm, families, q, tol, lambda fam: None,
+    return _ratio_certificate("ki_inequality", vm, families, q, lambda fam: None,
                               "image", image_over_source=True)
 
 
 def _ratio_certificate(name: str, vm: VertexMap, families: Sequence[CurveFamily], q: float,
-                       tol: float, weight: Callable, image_key: str,
+                       weight: Callable, image_key: str,
                        image_over_source: bool) -> Certificate:
     """Worst modulus ratio between each family and its image family, whose
     modulus is taken under ``weight(family)``."""
@@ -635,8 +648,10 @@ def _ratio_certificate(name: str, vm: VertexMap, families: Sequence[CurveFamily]
     worst = 0.0
     witness = None
     for k, fam in enumerate(families):
-        src_mod = modulus(fam, p=q, tol=tol)
-        img_val, img_gap, img_flags = _image_modulus(vm, fam, q, weight(fam), tol)
+        src_mod = modulus(fam, p=q)
+        m = edge_measures(vm.target, weight(fam))
+        _rho, img_val, img_gap, _iters, img_flags = _solve_program(
+            m, q, _family_oracle(fam, vm), TOL_DEFAULT, MAX_ITER_DEFAULT)
         ratio = (_safe_ratio(img_val, src_mod.value) if image_over_source
                  else _safe_ratio(src_mod.value, img_val))
         rows.append({"family": k, "source": src_mod.value, image_key: img_val,
@@ -649,13 +664,6 @@ def _ratio_certificate(name: str, vm: VertexMap, families: Sequence[CurveFamily]
                        witness=witness, details={"rows": rows, "q": q})
 
 
-def _image_modulus(vm: VertexMap, family: CurveFamily, q: float, weight, tol: float):
-    m = edge_measures(vm.target, weight)
-    oracle = _family_oracle(family, vm)
-    _rho, value, gap, _iters, flags = _solve_program(m, q, oracle, tol, 100_000)
-    return value, gap, flags
-
-
 def _safe_ratio(a: float, b: float) -> float:
     if b <= 0:
         return math.inf if a > 0 else 0.0
@@ -664,7 +672,7 @@ def _safe_ratio(a: float, b: float) -> float:
 
 def vaisala_certificate(vm: VertexMap, gamma: Sequence[Curve], gamma_prime: Sequence[Curve],
                         lifts: Sequence[Sequence[int]], m: int, q: float = 2.0,
-                        k_bound: float | None = None, tol: float = 1e-6) -> Certificate:
+                        k_bound: float | None = None) -> Certificate:
     """Väisälä inequality check: with m disjoint lifts per image curve,
     Mod_Q(Gamma') <= (K/m) Mod_Q(Gamma).
 
@@ -700,10 +708,10 @@ def vaisala_certificate(vm: VertexMap, gamma: Sequence[Curve], gamma_prime: Sequ
                     eb = src.edge_index[(vb[sb], vb[sb + 1])]
                     if ea == eb:
                         return precondition(f"lifts {la},{lb} share an edge at step {t}")
-    mod_lift = modulus(CurveFamily.explicit(src, gamma), p=q, tol=tol)
-    mod_img = modulus(CurveFamily.explicit(tgt, gamma_prime), p=q, tol=tol)
+    mod_lift = modulus(CurveFamily.explicit(src, gamma), p=q)
+    mod_img = modulus(CurveFamily.explicit(tgt, gamma_prime), p=q)
     ratio = _safe_ratio(m * mod_img.value, mod_lift.value)
-    passed = True if k_bound is None else ratio <= k_bound + tol
+    passed = True if k_bound is None else ratio <= k_bound + TOL_DEFAULT
     return Certificate("vaisala", passed, constant=ratio,
                        details={"mod_gamma": mod_lift.value, "mod_gamma_prime": mod_img.value,
                                 "m": m, "q": q, "k_bound": k_bound})
@@ -717,11 +725,11 @@ def _subseq_offset(haystack: tuple[int, ...], needle: tuple[int, ...]) -> int | 
     return None
 
 
-def analytic_qr_constant(vm: VertexMap, mu=None, nu=None, q: float = 2.0,
-                         exclude: Iterable[int] | None = None) -> Certificate:
+def analytic_qr_constant(vm: VertexMap, mu=None, nu=None, q: float = 2.0) -> Certificate:
     """Analytic quasiregularity constant: the discrete gradient is the max
     incident stretch d_Y(f(x), f(y))/len(x,y); K-hat = max over mu-positive
-    vertices of grad^Q / J_f.  Vertices with J = 0 < grad give infinity."""
+    vertices of grad^Q / J_f.  Vertices with J = 0 < grad give infinity.
+    The details also give the max away from the branch set."""
     src = vm.source
     mu_arr = _vertex_array(src, mu)
     jf = jacobians(vm, mu_arr, nu)
@@ -734,7 +742,7 @@ def analytic_qr_constant(vm: VertexMap, mu=None, nu=None, q: float = 2.0,
     with np.errstate(divide="ignore", invalid="ignore"):
         khat = np.where(jf.jac > 0, grad ** q / jf.jac,
                         np.where(grad > 0, np.inf, 0.0))
-    excl = frozenset(int(v) for v in exclude) if exclude is not None else branch_set(vm)
+    excl = branch_set(vm)
     k_all = max_over(khat, None, frozenset())
     k_pos = max_over(khat, mu_arr, frozenset())
     k_away = max_over(khat, mu_arr, excl)

@@ -15,6 +15,7 @@ from qrgraph.dilatation import (
     lq_verify,
 )
 from qrgraph.generators import gen_cycle, gen_cycle_cover, gen_winding, identity_map
+from qrgraph.measures import essential_index_profile
 from qrgraph.pullback import factorize
 from qrgraph.spaces import Space
 
@@ -25,6 +26,17 @@ def one_edge_stretch(t=3.0):
                       [("t0", "t1", t), ("t1", "t2", 1.0),
                        ("t2", "t3", 1.0), ("t3", "t0", 1.0)], "path")
     return VertexMap.build(src, tgt, {f"s{i:04d}": f"t{i}" for i in range(4)})
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("profile", [
+    lambda vm, cap: dilatation_profile(vm, 1, radius_cap=cap),
+    lambda vm, cap: inverse_dilatation_profile(vm, 1, scale_cap=cap),
+    lambda vm, cap: essential_index_profile(vm, 1, cap=cap),
+], ids=["dilatation", "inverse_dilatation", "essential_index"])
+def test_local_profile_refuses_cap_not_above_tol(profile, cap):
+    with pytest.raises(ValueError, match="cap must exceed"):
+        profile(gen_winding(2, levels=4, sectors=8), cap)
 
 
 class TestProfiles:

@@ -303,6 +303,14 @@ class TestAnnulus:
         res = annulus_modulus(disk, "center", 0.5, 0.5)
         assert res.value == 0.0 and "degenerate" in res.flags
 
+    def test_degenerate_shell_checks_exponent_and_names_weight(self):
+        grid = gen_grid(2, 2)
+        for p in (math.nan, 0.5):
+            with pytest.raises(ValueError, match="1 < p < inf"):
+                annulus_modulus(grid, grid.ids[0], 1.0, 1.0, p=p)
+        res = annulus_modulus(grid, grid.ids[0], 1.0, 1.0, weight=dict.fromkeys(grid.ids, 1.0))
+        assert "degenerate" in res.flags and res.weight_kind == "vertex"
+
     def test_log_scaling_law(self):
         disk = gen_polar_grid(28, 32, 0.0, 1.0)
         radii = sorted({float(disk.dist[disk.i("center"), disk.i(f"r{i:03d}s000")])

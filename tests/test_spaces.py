@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_space
 from qrgraph import spaces
-from qrgraph.generators import gen_polar_grid, gen_winding
+from qrgraph.embedding import embed
+from qrgraph.generators import gen_cycle_cover, gen_polar_grid, gen_winding
+from qrgraph.measures import jacobians, pullback_measure
 from qrgraph.modulus import CurveFamily, modulus
+from qrgraph.pullback import pullback_metric_bracket
 from qrgraph.spaces import (
     Continuum,
     Curve,
@@ -291,6 +294,20 @@ def test_space_is_immutable():
         sp.mass[0] = 2.0
     with pytest.raises(Exception):
         sp.ids = ("x",)
+
+
+def test_array_holding_values_compare_by_identity():
+    # two equal-content values are distinct objects; == gives a bool, never
+    # an ambiguous-truth-value error, and every one of them hashes
+    def build():
+        vm = gen_cycle_cover(4, 2)
+        return [vm.source, Curve.from_ids(vm.source, vm.source.ids[:2]), vm,
+                modulus(CurveFamily.connecting(vm.target, ["t0000"], ["t0002"])).density,
+                pullback_metric_bracket(vm), pullback_measure(vm), jacobians(vm), embed(vm)]
+
+    for a, b in zip(build(), build()):
+        assert isinstance(a == b, bool) and a == a
+        assert hash(a) == hash(a)
 
 
 class TestLazyPathMetric:
