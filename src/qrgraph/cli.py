@@ -302,11 +302,11 @@ def cmd_embed(args):
 
 
 def _radius_cap(text: str) -> float:
-    """A radius cap above TOL; NaN and smaller values leave every
-    neighbourhood without its own centre."""
+    """A radius cap of at least TOL, the least one a report gives; NaN and
+    smaller values leave every neighbourhood without its own centre."""
     value = float(text)
-    if not value > TOL:
-        raise argparse.ArgumentTypeError(f"radius cap must exceed {TOL}: {text}")
+    if not value >= TOL:
+        raise argparse.ArgumentTypeError(f"radius cap must exceed or equal {TOL}: {text}")
     return value
 
 

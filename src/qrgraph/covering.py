@@ -159,17 +159,25 @@ def u_component(vm: VertexMap, x: int | str, r: float) -> Continuum:
     """U(x, f, r): the x-component of f^-1(B(f(x), r)).  Raises ValueError
     when x lies outside its own ball, as it does for every r <= 0 or NaN."""
     xi = _idx(vm.source, x)
+    _check_inside("u_component", vm, xi, r)
     row = _u_levels(vm, [xi])[0]
-    if not row[xi] < r - TOL:
-        raise ValueError(f"u_component: {vm.source.ids[xi]} lies outside B(f(x), {r})")
     return Continuum(vm.source, frozenset(np.flatnonzero(row < r - TOL).tolist()))
 
 
+def _check_inside(name: str, vm: VertexMap, xi: int, r: float) -> None:
+    """x lies in U(x, f, r) iff its level, the target diagonal at f(x), is
+    below r - TOL; on a zero diagonal every r <= TOL, and NaN, leave it out."""
+    z = int(vm.f[xi])
+    if not vm.target.dist[z, z] < r - TOL:
+        raise ValueError(f"{name}: {vm.source.ids[xi]} lies outside B(f(x), {r})")
+
+
 def _check_cap(name: str, cap: float | None) -> None:
-    """A given radius cap must exceed TOL or be inf: a smaller one, or NaN,
-    leaves every vertex outside its own ball."""
-    if cap is not None and not cap > TOL:
-        raise ValueError(f"{name}: the cap must exceed {TOL}, got {cap}")
+    """A given radius cap must be at least TOL, the least radius that
+    ``normal_radius`` reports, or inf: a smaller one, or NaN, leaves every
+    vertex outside its own ball."""
+    if cap is not None and not cap >= TOL:
+        raise ValueError(f"{name}: the cap must exceed or equal {TOL}, got {cap}")
 
 
 def _local_indices(vm: VertexMap, xs: Sequence[int]) -> np.ndarray:

@@ -64,7 +64,7 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
     discrete surrogate of the r -> 0 limit is local, and an unbounded far
     shell would see opposite-sheet fiber points (image distance ~ 0) on any
     covering map.  ``restrict`` overrides the neighborhood explicitly.  A
-    given cap must exceed TOL (ValueError otherwise); one that still leaves
+    given cap must be at least TOL (ValueError otherwise); one that still leaves
     x outside its own ball, as an explicit target diagonal can, gives no
     rows (H = inf), flagged "empty neighbourhood".
     """
@@ -107,7 +107,7 @@ def inverse_dilatation_profile(vm: VertexMap, x: int | str,
                                scale_cap: float | None = None) -> DilatationProfile:
     """H*_f(x, s) from the boundary of U(x, f, s): L*, l* are the max/min
     source distances from x to vertices of U having a neighbor outside it.
-    A given cap must exceed TOL (ValueError otherwise)."""
+    A given cap must be at least TOL (ValueError otherwise)."""
     _check_cap("inverse_dilatation_profile", scale_cap)
     src = vm.source
     xi = _idx(src, x)

@@ -160,7 +160,7 @@ def assign_labels(vm: VertexMap, y_net: str, r_k: float) -> tuple[dict[str, int]
     return labels, sets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingPlan:
     vm: VertexMap                 # normalized map
     n_mult: int

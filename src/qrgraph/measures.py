@@ -10,7 +10,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _check_cap, _u_levels, normal_radius
+from .covering import VertexMap, _check_cap, _check_inside, _u_levels, normal_radius
 from .spaces import _idx, _vertex_array
 
 __all__ = [
@@ -153,10 +153,12 @@ def _essential_indices(vm: VertexMap, xi: int, nu, radii) -> list[float]:
 
 
 def essential_index(vm: VertexMap, x: int | str, nu=None, r: float | None = None) -> float:
-    """f*nu(U(x, f, r)) / nu(B(f(x), r))."""
+    """f*nu(U(x, f, r)) / nu(B(f(x), r)).  Raises ValueError, as
+    ``u_component`` does, when x lies outside its own ball."""
     xi = _idx(vm.source, x)
-    if r is None or r <= 0:
+    if r is None:
         raise ValueError("essential_index needs r > 0")
+    _check_inside("essential_index", vm, xi, r)
     return _essential_indices(vm, xi, nu, [r])[0]
 
 
@@ -164,7 +166,7 @@ def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
                             cap: float | None = None) -> tuple[float, float, list[tuple[float, float]]]:
     """Max of the essential index over candidate radii not exceeding the cap
     (default: the normal radius at f(x)); returns (value, cap, per-radius).
-    A given cap must exceed TOL (ValueError otherwise)."""
+    A given cap must be at least TOL (ValueError otherwise)."""
     _check_cap("essential_index_profile", cap)
     xi = _idx(vm.source, x)
     if cap is None:

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from ._tol import TOL
 from .certificates import Certificate
@@ -314,6 +312,9 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
     arc_u, arc_w, arc_e = arc_u[order], arc_w[order], arc_e[order]
     arc_len = length[arc_e]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(arc_u, minlength=src.n))])
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     # explicit zeros stay arcs: the CSR is built from its parts and its data
     # only ever refilled, never pruned
     g = csr_matrix((np.zeros(arc_u.size), arc_w, indptr), shape=(src.n, src.n))
@@ -363,6 +364,7 @@ def _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget):
     if np.where(lam > 0.0, np.abs(slack), slack).max() <= inner_tol:
         return s, rho, 1
     from scipy.optimize import minimize
+    from scipy.sparse import csr_matrix
 
     a = csr_matrix((coef, cols, indptr), shape=(n_rows, m.size))
     at = a.T

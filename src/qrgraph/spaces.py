@@ -12,6 +12,14 @@ code that needs only edges and masses (the connecting-family modulus) never
 pays for the n x n matrix.  The cached matrix is read-only like an explicit
 one.  Concurrent first reads are safe: the fill is idempotent, so a thread
 that computes it again gets an equal array.
+
+The fill has two kernels.  Up to 128 vertices an all-sources Bellman-Ford in
+numpy relaxes every arc of every source at once, round after round, until a
+round changes nothing; above that, scipy's compiled Dijkstra
+(``scipy.sparse.csgraph``) runs, and only then is scipy imported.  Their
+matrices are equal bit for bit: the lengths are nonnegative and fl(a + w) is
+monotone in a, so both compute, for each pair, the least over paths of the
+sequential float sum of the path's lengths.
 """
 from __future__ import annotations
 
@@ -22,8 +30,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from ._tol import TOL, ge
 
@@ -290,15 +296,51 @@ class Curve:
 # -- operations --------------------------------------------------------------
 
 
+# Up to this many vertices the numpy kernel runs, so a short process need not
+# import scipy; its rounds cost n * arcs each, so larger spaces go to Dijkstra.
+_NUMPY_APSP_MAX_N = 128
+
+
 def _apsp(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
-    rows = [e[0] for e in edges] + [e[1] for e in edges]
-    cols = [e[1] for e in edges] + [e[0] for e in edges]
-    vals = [e[2] for e in edges] * 2
-    g = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    d = shortest_path(g, method="D", directed=False)
+    if n <= _NUMPY_APSP_MAX_N:
+        d = _bellman_ford(n, edges)
+    else:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import shortest_path
+
+        rows = [e[0] for e in edges] + [e[1] for e in edges]
+        cols = [e[1] for e in edges] + [e[0] for e in edges]
+        vals = [e[2] for e in edges] * 2
+        g = csr_matrix((vals, (rows, cols)), shape=(n, n))
+        d = shortest_path(g, method="D", directed=False)
     # The two directions of a pair can sum their edges in a different order
     # and differ in the last bit; keep one value per pair.
     return np.minimum(d, d.T)
+
+
+def _bellman_ford(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
+    """All-sources shortest paths, one source per row: a round relaxes every
+    arc u -> v for every source at once, setting column v to the least of
+    itself and of column u plus the arc's length, until nothing changes."""
+    d = np.full((n, n), math.inf)
+    np.fill_diagonal(d, 0.0)
+    if not edges:
+        return d
+    e = np.array(edges, dtype=float)
+    ends, length = e[:, :2].astype(np.intp), e[:, 2]
+    tail = np.concatenate([ends[:, 0], ends[:, 1]])
+    head = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.argsort(head)                   # the arcs into one vertex side by side
+    tail, head, w = tail[order], head[order], np.concatenate([length, length])[order]
+    starts = np.flatnonzero(np.diff(head, prepend=-1))
+    heads = head[starts]
+    with np.errstate(over="ignore"):          # lengths near 1e308 sum to inf
+        while True:
+            new = np.minimum(d[:, heads], np.minimum.reduceat(d[:, tail] + w, starts, axis=1))
+            if np.array_equal(new, d[:, heads]):
+                break
+            d[:, heads] = new
+    return d
 
 
 def _geodesic(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:

@@ -64,6 +64,20 @@ def random_map(rng: np.random.Generator, n_src: int, n_tgt: int) -> VertexMap:
     return VertexMap.build(src, tgt, assignment)
 
 
+def apsp_reference(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
+    """All-pairs shortest paths by scipy's compiled Dijkstra, then the least
+    of the two directions of each pair: the kernel ``spaces._apsp`` used at
+    every size before its numpy Bellman-Ford, kept as a reference."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    rows = [e[0] for e in edges] + [e[1] for e in edges]
+    cols = [e[1] for e in edges] + [e[0] for e in edges]
+    g = csr_matrix(([e[2] for e in edges] * 2, (rows, cols)), shape=(n, n))
+    d = shortest_path(g, method="D", directed=False)
+    return np.minimum(d, d.T)
+
+
 def minimax_path_reference(space: Space, key: np.ndarray, i: int, j: int) -> float:
     """min over graph paths i -> j of the largest key on the path, by a
     Dijkstra-style search with max-relaxation: the per-pair heap search the

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qrgraph._tol import TOL
 from qrgraph.covering import VertexMap
 from qrgraph.dilatation import (
     bdd_verify,
@@ -37,6 +38,36 @@ def one_edge_stretch(t=3.0):
 def test_local_profile_refuses_cap_not_above_tol(profile, cap):
     with pytest.raises(ValueError, match="cap must exceed"):
         profile(gen_winding(2, levels=4, sectors=8), cap)
+
+
+def _onto_a_point() -> VertexMap:
+    # the path a-b onto one vertex: no target ball has a nontrivial radius,
+    # so the normal radius is the degenerate TOL
+    src = Space.build([("a", 1.0), ("b", 1.0)], [("a", "b", 1.0)], "path")
+    tgt = Space.build([("p", 1.0)], [], "path")
+    return VertexMap.build(src, tgt, {"a": "p", "b": "p"})
+
+
+@pytest.mark.parametrize("profile, cap", [
+    (dilatation_profile, "radius_cap"),
+    (inverse_dilatation_profile, "scale_cap"),
+], ids=["dilatation", "inverse_dilatation"])
+def test_reported_degenerate_cap_passes_back(profile, cap):
+    vm = _onto_a_point()
+    first = profile(vm, 0)
+    assert first.cap == TOL and "degenerate cap" in first.flags
+    again = profile(vm, 0, **{cap: first.cap})
+    assert again.cap == first.cap
+    assert again.rows == first.rows and again.h_sup == first.h_sup
+    with pytest.raises(ValueError, match="cap must exceed"):
+        profile(vm, 0, **{cap: TOL / 2})
+
+
+def test_reported_degenerate_cap_passes_back_to_essential_index():
+    vm = _onto_a_point()
+    value, cap, rows = essential_index_profile(vm, 0)
+    assert cap == TOL
+    assert essential_index_profile(vm, 0, cap=cap) == (value, cap, rows)
 
 
 class TestProfiles:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import random_map
-from qrgraph.covering import local_index
+from qrgraph._tol import TOL
+from qrgraph.covering import VertexMap, local_index, u_component
 from qrgraph.generators import gen_cycle, gen_cycle_cover, gen_winding, identity_map
 from qrgraph.measures import (
     area_inequality_check,
@@ -18,6 +19,7 @@ from qrgraph.measures import (
     jacobians,
     pullback_measure,
 )
+from qrgraph.spaces import _with_metric
 
 
 class TestPullbackMeasure:
@@ -142,6 +144,29 @@ class TestAreaInequality:
 
 
 class TestEssentialIndex:
+    @pytest.mark.parametrize("r", [1e-10, TOL, 0.0, -1.0, math.nan])
+    def test_radius_leaving_the_centre_outside_raises_like_u_component(self, r):
+        vm = gen_winding(2, levels=4, sectors=8)
+        with pytest.raises(ValueError, match="lies outside"):
+            u_component(vm, 1, r)
+        with pytest.raises(ValueError, match="lies outside"):
+            essential_index(vm, 1, r=r)
+
+    def test_negative_diagonal_keeps_the_centre_for_both(self):
+        # an explicit target diagonal of -5e-10 at f(x) puts x in its own
+        # ball at r = 6e-10, and +5e-10 does not
+        vm = gen_cycle_cover(12, 2)
+        d = np.array(vm.target.dist)
+        d[np.diag_indices(vm.target.n)] = [5e-10 if k % 2 else -5e-10 for k in range(vm.target.n)]
+        vm = VertexMap(source=vm.source, target=_with_metric(vm.target, d), f=vm.f.copy())
+        inside, outside = (int(np.flatnonzero(vm.f == z)[0]) for z in (0, 1))
+        assert u_component(vm, inside, 6e-10).members == frozenset([inside])
+        assert essential_index(vm, inside, r=6e-10) == 1.0
+        for check in (lambda: u_component(vm, outside, 6e-10),
+                      lambda: essential_index(vm, outside, r=6e-10)):
+            with pytest.raises(ValueError, match="lies outside"):
+                check()
+
     def test_identity_is_one_at_all_radii(self):
         vm = identity_map(gen_cycle(8))
         for r in vm.target.ball_radii(0):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_space
 from qrgraph import spaces
+from qrgraph.certificates import Certificate
 from qrgraph.embedding import embed
 from qrgraph.generators import gen_cycle_cover, gen_polar_grid, gen_winding
 from qrgraph.measures import jacobians, pullback_measure
@@ -308,6 +309,18 @@ def test_array_holding_values_compare_by_identity():
     for a, b in zip(build(), build()):
         assert isinstance(a == b, bool) and a == a
         assert hash(a) == hash(a)
+
+
+def test_dict_holding_values_hash_by_identity():
+    # a certificate and an embedding plan carry dicts, so a field-wise hash
+    # would raise; they compare and hash by identity like the array holders
+    vm = gen_cycle_cover(4, 2)
+    values = [Certificate("x", True, details={"a": 1}), embed(vm).plan]
+    twins = [Certificate("x", True, details={"a": 1}), embed(gen_cycle_cover(4, 2)).plan]
+    for a, b in zip(values, twins):
+        assert hash(a) == hash(a)
+        assert a == a and a != b
+    assert len(set(values + twins)) == 4
 
 
 class TestLazyPathMetric:
