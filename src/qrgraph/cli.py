@@ -310,6 +310,26 @@ def _radius_cap(text: str) -> float:
     return value
 
 
+def _integer_at_least(least: int):
+    """An integer option of at least ``least``: a seed (0) or an iteration cap (1)."""
+    def integer(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}: {text}")
+    return integer
+
+
+def _tol(text: str) -> float:
+    """A modulus stopping tolerance with 0 < tol < 1; NaN is none."""
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"tol must satisfy 0 < tol < 1: {text}")
+    return value
+
+
 def _exponent(text: str) -> float:
     """A modulus exponent p with 1 < p < inf; NaN is none."""
     value = float(text)
@@ -326,7 +346,8 @@ def main(argv=None) -> int:
 
     def common(p):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_integer_at_least(0), default=0,
+                       help="sampling seed, an integer >= 0")
 
     def exact_cap(p):
         p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
@@ -371,11 +392,13 @@ def main(argv=None) -> int:
     p.add_argument("--space", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=_exponent, default=2.0, help="exponent, 1 < p < inf")
-    p.add_argument("--max-iter", type=int, default=MAX_ITER_DEFAULT)
+    p.add_argument("--max-iter", type=_integer_at_least(1), default=MAX_ITER_DEFAULT,
+                   help="solver work cap, an integer >= 1")
     p.add_argument("--weight", default=None,
                    help="JSON file of vertex weights (e.g. a K_O/K_I field) "
                         "for the weighted modulus")
-    p.add_argument("--tol", type=float, default=TOL_DEFAULT)
+    p.add_argument("--tol", type=_tol, default=TOL_DEFAULT,
+                   help="stopping tolerance, 0 < tol < 1")
     common(p)
     p.set_defaults(fn=cmd_modulus)
 
@@ -386,7 +409,7 @@ def main(argv=None) -> int:
     p.add_argument("--constant", type=float, default=None)
     p.add_argument("--radius-cap", type=_radius_cap, default=None,
                    help="radius (metric-qr) or scale (inverse-qr) cap; "
-                        "a number above 1e-9, or inf")
+                        "at least 1e-9, or inf")
     common(p)
     p.set_defaults(fn=cmd_verify)
 

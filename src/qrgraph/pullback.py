@@ -32,7 +32,7 @@ from .spaces import (
     _components_idx,
     _diameters,
     _geodesic,
-    _path_length,
+    _path_lengths,
     _threshold_sweeps,
     _with_metric,
 )
@@ -295,23 +295,19 @@ def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | Non
 
 
 def _worst_distortion(vm: VertexMap, paths: list[tuple[int, ...]], kind: str):
-    """Worst two-sided distortion max(b/a, a/b), at least 1, over the paths,
-    of the source size a against the image size b under ``vm``, and the path
-    attaining it.  Sizes are lengths for kind "bld" and diameters for "bdd".
-    A zero on either side is infinite distortion, with that path as witness."""
-    src, tgt = vm.source, vm.target
-    if kind == "bld":  # lazy: most collapsing maps stop at an early path
-        sizes = ((_path_length(src, p), _path_length(tgt, p, vm.f)) for p in paths)
-    else:
-        sizes = zip(_diameters(src, paths).tolist(), _diameters(tgt, paths, vm.f).tolist())
-    worst, witness = 1.0, None
-    for path, (a, b) in zip(paths, sizes):
-        if a <= TOL or b <= TOL:
-            return math.inf, path
-        r = max(b / a, a / b)
-        if r > worst:
-            worst, witness = r, path
-    return worst, witness
+    """Worst two-sided distortion max(b/a, a/b), at least 1, over the paths, of the source
+    size a against the image size b under ``vm``, and the first path attaining it; sizes are
+    lengths for kind "bld" and diameters for "bdd".  A zero on either side is infinite
+    distortion, with the first such path as witness; two sizes that overflow to inf count as 1."""
+    size = _path_lengths if kind == "bld" else _diameters
+    a, b = size(vm.source, paths), size(vm.target, paths, vm.f)
+    zero = (a <= TOL) | (b <= TOL)
+    if zero.any():
+        return math.inf, paths[int(zero.argmax())]
+    with np.errstate(over="ignore", invalid="ignore"):  # sizes near 1e308; inf / inf is NaN
+        r = np.append(1.0, np.fmax(np.maximum(b / a, a / b), 1.0))  # r[0]: no witness
+    k = int(r.argmax())
+    return float(r[k]), (paths[k - 1] if k else None)
 
 
 def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:

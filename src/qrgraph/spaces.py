@@ -27,6 +27,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -286,7 +288,7 @@ class Curve:
 
     @property
     def length(self) -> float:
-        return _path_length(self.space, self.vertices)
+        return float(_path_lengths(self.space, [self.vertices])[0])
 
     def edge_indices(self) -> list[int]:
         sp = self.space
@@ -369,16 +371,6 @@ def _with_metric(space: Space, dist: np.ndarray, mass: np.ndarray | None = None)
                        [(space.ids[i], space.ids[j], ln) for i, j, ln in space.edges], dist)
 
 
-def _path_length(space: Space, path: Sequence[int], f: np.ndarray | None = None) -> float:
-    """Length of a vertex path: the sum of the edge lengths of ``space`` or,
-    given a vertex map ``f`` into ``space``, of the distances between
-    consecutive images."""
-    steps = zip(path, path[1:])
-    if f is None:
-        return float(sum(space.edge_length(space.edge_index[st]) for st in steps))
-    return float(sum(space.dist[f[a], f[b]] for a, b in steps))
-
-
 def ball(space: Space, center: str, r: float) -> frozenset[int]:
     """Open ball {v : d(center, v) < r}."""
     c = space.i(center)
@@ -438,22 +430,44 @@ def diameter(space: Space, members: Iterable[int] | Iterable[str]) -> float:
     return float(_diameters(space, [idx])[0])
 
 
+def _size_groups(sets: Sequence[Iterable[int]]) -> list[tuple[list[int], np.ndarray]]:
+    """The collections of ``sets`` grouped by size, in order of first appearance:
+    each group's positions in ``sets`` and its (count, size) index array."""
+    groups: dict[int, list[int]] = {}
+    for k, s in enumerate(sets):
+        groups.setdefault(len(s), []).append(k)
+    return [(ks, np.fromiter(chain.from_iterable(sets[k] for k in ks), np.intp)
+             .reshape(len(ks), size)) for size, ks in groups.items()]
+
+
 def _diameters(space: Space, sets: Sequence[Iterable[int]],
                f: np.ndarray | None = None) -> np.ndarray:
     """Diameter of each non-empty index collection in ``sets`` or, given a
     vertex map ``f`` into ``space``, of its image; one gather per group of
     equal-size collections.  The diagonal is read too: an explicit metric
     may have |d(v, v)| <= TOL."""
-    sets = [tuple(s) for s in sets]
     out = np.empty(len(sets))
-    groups: dict[int, list[int]] = {}
-    for k, s in enumerate(sets):
-        groups.setdefault(len(s), []).append(k)
-    for ks in groups.values():
-        idx = np.array([sets[k] for k in ks], dtype=np.intp)
-        if f is not None:
-            idx = f[idx]
+    for ks, idx in _size_groups(sets):
+        idx = idx if f is None else f[idx]
         out[ks] = space.dist[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
+    return out
+
+
+def _path_lengths(space: Space, paths: Sequence[Sequence[int]],
+                  f: np.ndarray | None = None) -> np.ndarray:
+    """Length of each vertex path in ``paths``: the sum, from the left, of its
+    edge lengths in ``space`` or, given a vertex map ``f`` into ``space``, of
+    the distances between consecutive images; inf once the sum overflows."""
+    out = np.empty(len(paths))
+    if f is None:  # the edges are sorted by (i, j), so their keys i * n + j are too
+        e = np.array(space.edges).reshape(-1, 3)
+        keys = e[:, 0] * space.n + e[:, 1]
+    with np.errstate(over="ignore"):
+        for ks, idx in _size_groups(paths):
+            a, b = idx[:, :-1], idx[:, 1:]
+            steps = (space.dist[f[a], f[b]] if f is not None else
+                     e[np.searchsorted(keys, np.minimum(a, b) * space.n + np.maximum(a, b)), 2])
+            out[ks] = reduce(np.add, steps.T, np.zeros(len(ks)))
     return out
 
 

@@ -177,6 +177,19 @@ USAGE_OR_INPUT_ERRORS = [
     (["gen", "--kind", "winding", "--sectors", 2], 64),
     (["gen", "--kind", "polar_grid", "--r0", 2, "--r1", 1], 64),
     (["gen", "--kind", "pullback_space"], 64),  # no --map
+    # a seed below zero, which numpy's generator refuses, in every subcommand
+    (["validate", "<tmp>", "--seed", -1], 64),
+    (["gen", "--kind", "cycle", "--seed", -1], 64),
+    (["pullback", "--map", "<tmp>", "--seed", -1], 64),
+    (["measure", "--map", "<tmp>", "--seed", -1], 64),
+    (["modulus", "--space", "<tmp>", "--family", "<tmp>", "--seed", -1], 64),
+    (["embed", "--map", "<tmp>", "--seed", -1], 64),
+    *((["verify", "--map", "<tmp>", "--property", prop, "--seed", s], 64)
+      for prop in ("bld", "bdd", "lq", "metric-qr", "inverse-qr", "bqs") for s in (-1, 1.5)),
+    # modulus tolerances outside 0 < tol < 1 and work caps below 1
+    *((["modulus", "--space", "<tmp>", "--family", "<tmp>", flag, v], 64)
+      for flag, v in [*(("--tol", v) for v in ("inf", "nan", -1, 0, 1, "x")),
+                      *(("--max-iter", v) for v in (0, -5, 1.5, "inf"))]),
 ]
 
 
@@ -186,6 +199,24 @@ def test_bad_input_ends_in_an_exit_code_not_a_traceback(tmp_path, capsys, argv, 
     argv = [tmp_path if a == "<tmp>" else a for a in argv]
     assert run([*argv, "--out", tmp_path / "o"]) == code
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag, value, text", [("--tol", "inf", "0 < tol < 1"),
+                                               ("--tol", "nan", "0 < tol < 1"),
+                                               ("--max-iter", 0, "integer >= 1"),
+                                               ("--seed", -1, "integer >= 0")])
+def test_out_of_range_modulus_option_names_its_range(tmp_path, capsys, flag, value, text):
+    gen = tmp_path / "gen"
+    assert run(["gen", "--kind", "winding", "--k", 2, "--levels", 3, "--sectors", 6,
+                "--out", gen]) == 0
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"connect": {"E": ["r000s000"], "F": ["r002s003"]}}))
+    capsys.readouterr()
+    assert run(["modulus", "--space", gen / "target.json", "--family", fam, flag, value,
+                "--out", tmp_path / "o"]) == 64
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and text in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
