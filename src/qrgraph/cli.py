@@ -24,15 +24,7 @@ from . import __version__
 from ._tol import TOL
 from .certificates import Certificate, _jsonable
 from .covering import VertexMap, load_map, map_to_json
-from .dilatation import (
-    _passed,
-    bdd_verify,
-    bld_verify,
-    bqs_gauge,
-    dilatation_profile,
-    inverse_dilatation_profile,
-    lq_verify,
-)
+from .dilatation import _local_profiles, _passed, bdd_verify, bld_verify, bqs_gauge, lq_verify
 from .embedding import composition_bound_check, embed, fiber_scale_check
 from .generators import (
     gen_cycle,
@@ -254,14 +246,10 @@ def cmd_verify(args):
         cert = lq_verify(vm, bound=args.constant)
     elif prop in ("metric-qr", "inverse-qr"):
         inverse = prop == "inverse-qr"
-        profile = inverse_dilatation_profile if inverse else dilatation_profile
-        rows = {}
-        worst = 1.0
-        for x in range(vm.source.n):
-            prof = profile(vm, x, args.radius_cap)  # the radius or scale cap
-            rows[vm.source.ids[x]] = {"H": prof.h_sup, "h": prof.h_inf, "cap": prof.cap,
-                                      "flags": list(prof.flags)}
-            worst = max(worst, prof.h_sup)
+        profiles = _local_profiles(vm, range(vm.source.n), args.radius_cap, inverse)
+        rows = {p.vertex: {"H": p.h_sup, "h": p.h_inf, "cap": p.cap, "flags": list(p.flags)}
+                for p in profiles}
+        worst = max([1.0, *(p.h_sup for p in profiles)])
         cert = Certificate("inverse_metric_qr" if inverse else "metric_qr",
                            _passed(worst, args.constant), constant=worst,
                            details={"profiles": rows})

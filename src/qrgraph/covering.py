@@ -244,16 +244,21 @@ def normal_radius(vm: VertexMap, x: int | str) -> tuple[float, dict]:
     Returns (R, record).  If no radius passes, returns the smallest positive
     candidate radius flagged "degenerate".
     """
+    return _fibre_radius(vm, int(vm.f[_idx(vm.source, x)]))[:2]
+
+
+def _fibre_radius(vm: VertexMap, z: int) -> tuple[float, dict, list[int], np.ndarray]:
+    """``normal_radius`` over the fibre of z, with the sorted fibre and its
+    level rows from the one sweep that the properties read."""
     tgt = vm.target
-    z = int(vm.f[_idx(vm.source, x)])
     fib = sorted(vm.fiber(z))
     seps = vm.source.dist[np.ix_(fib, fib)][np.triu_indices(len(fib), 1)]
     m_z = float(seps.min(initial=np.inf)) / 6.0  # a sixth of the fibre's separation
     radii = tgt.ball_radii(z)
-    if not radii:
-        return TOL, {"degenerate": True, "M_z": m_z}
-    cut = np.array(radii)[:, None] - TOL
     level = _u_levels(vm, fib)
+    if not radii:
+        return TOL, {"degenerate": True, "M_z": m_z}, fib, level
+    cut = np.array(radii)[:, None] - TOL
     comps = level[None] < cut[:, :, None]  # (radius, fiber, vertex)
     balls = tgt.dist[z] < cut
     counts = _image_counts(vm, comps)
@@ -282,22 +287,15 @@ def normal_radius(vm: VertexMap, x: int | str) -> tuple[float, dict]:
         rec.update({"p1": True, "p5": bool((mult[balls[i]] >= mult[z]).all()), "p6": p6, "p7": p6})
     rec["degenerate"] = not n_pass
     rec["M_z"] = m_z
-    return radii[i], rec
+    return radii[i], rec, fib, level
 
 
 def normal_radius_table(vm: VertexMap) -> NormalRadiusTable:
-    radius: dict[str, float] = {}
-    record: dict[str, dict] = {}
-    degen: set[str] = set()
-    for z in range(vm.target.n):
-        x = min(vm.fiber(z))
-        r, rec = normal_radius(vm, x)
-        zid = vm.target.ids[z]
-        radius[zid] = r
-        record[zid] = rec
-        if rec.get("degenerate"):
-            degen.add(zid)
-    return NormalRadiusTable(vm=vm, radius=radius, record=record, degenerate=frozenset(degen))
+    found = {zid: _fibre_radius(vm, z)[:2] for z, zid in enumerate(vm.target.ids)}
+    return NormalRadiusTable(vm=vm, radius={zid: r for zid, (r, _rec) in found.items()},
+                             record={zid: rec for zid, (_r, rec) in found.items()},
+                             degenerate=frozenset(zid for zid, (_r, rec) in found.items()
+                                                  if rec["degenerate"]))
 
 
 def _boundary(space: Space, members: frozenset[int]) -> frozenset[int]:

@@ -5,7 +5,8 @@ The exact sphere {d(x,y) = r} has no stable discrete meaning, so every
 profile uses the two-sided shell convention: L looks at {d <= r}, l at
 {d >= r}.  This over-estimates H and makes all certificates conservative.
 limsup/liminf as r -> 0 become max/min over candidate radii up to a cap
-(default: the normal radius at the vertex).
+(default: the normal radius at f(x)).  That radius and the level rows belong
+to the fibre over f(x), so a whole-map run reads each fibre once.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _boundary, _check_cap, _u_levels, normal_radius
+from .covering import VertexMap, _boundary, _check_cap, _fibre_radius, _u_levels
 from .pullback import _worst_distortion, enumerate_paths
 from .spaces import Space, _diameters, _idx, ball_closed
 
@@ -69,38 +70,11 @@ def dilatation_profile(vm: VertexMap, x: int | str, radius_cap: float | None = N
     rows (H = inf), flagged "empty neighbourhood".
     """
     _check_cap("dilatation_profile", radius_cap)
-    src = vm.source
-    xi = _idx(src, x)
-    flags: list[str] = []
+    xi = _idx(vm.source, x)
     if restrict is None:
-        if radius_cap is None:
-            radius_cap, rec = normal_radius(vm, xi)
-            if rec.get("degenerate"):
-                flags.append("degenerate cap")
-        level = _u_levels(vm, [xi])[0]
-        if not level[xi] < radius_cap - TOL:  # x outside its own ball
-            return _profile(src.ids[xi], [], radius_cap, flags + ["empty neighbourhood"])
-        restrict = np.flatnonzero(level < radius_cap - TOL).tolist()
-    else:
-        restrict = frozenset(int(v) for v in restrict)
-        if radius_cap is None:
-            radius_cap = math.inf
-    others = np.array(sorted(set(restrict) - {xi}), dtype=int)
-    if others.size == 0:
-        return _profile(src.ids[xi], [], radius_cap, flags + ["empty shell"])
-    drow = src.dist[xi, others]
-    irow = vm.target.dist[int(vm.f[xi]), vm.f[others]]
-    rows = []
-    for r in (float(v) for v in np.unique(drow)):
-        near = drow <= r + TOL
-        far = drow >= r - TOL
-        if not near.any() or not far.any():
-            continue
-        big_l = float(irow[near].max())
-        small_l = float(irow[far].min())
-        h = big_l / small_l if small_l > 0 else math.inf
-        rows.append((r, big_l, small_l, float(h)))
-    return _profile(src.ids[xi], rows, radius_cap, flags)
+        return _local_profiles(vm, [xi], radius_cap, inverse=False)[0]
+    others = np.array(sorted(set(int(v) for v in restrict) - {xi}), dtype=int)
+    return _shell_profile(vm, xi, others, math.inf if radius_cap is None else radius_cap, [])
 
 
 def inverse_dilatation_profile(vm: VertexMap, x: int | str,
@@ -109,29 +83,69 @@ def inverse_dilatation_profile(vm: VertexMap, x: int | str,
     source distances from x to vertices of U having a neighbor outside it.
     A given cap must be at least TOL (ValueError otherwise)."""
     _check_cap("inverse_dilatation_profile", scale_cap)
+    return _local_profiles(vm, [_idx(vm.source, x)], scale_cap, inverse=True)[0]
+
+
+def _local_profiles(vm: VertexMap, xs: Iterable[int], cap: float | None,
+                    inverse: bool) -> list[DilatationProfile]:
+    """The H (or H*) profile of each centre of xs from one normal radius and
+    one level sweep per fibre.  The default cap is the normal radius at f(x),
+    flagged "degenerate cap" when no radius passes; H* flags a given cap
+    above it "nonlocal".  H with a given cap reads only the level rows."""
     src = vm.source
-    xi = _idx(src, x)
-    flags: list[str] = []
-    nr, rec = normal_radius(vm, xi)
-    if scale_cap is None:
-        scale_cap = nr
-        if rec.get("degenerate"):
-            flags.append("degenerate cap")
-    elif scale_cap > nr + TOL:
-        flags.append("nonlocal")
-    radii = [s for s in vm.target.ball_radii(int(vm.f[xi])) if le(s, scale_cap)]
-    level = _u_levels(vm, [xi])[0]
+    xs = [int(x) for x in xs]
+    radius, level = {}, {}
+    if cap is None or inverse:
+        for z in dict.fromkeys(vm.f[xs].tolist()):
+            nr, rec, fib, fib_level = _fibre_radius(vm, z)
+            radius[z] = nr, rec
+            level.update(zip(fib, fib_level))
+    else:
+        level.update(zip(xs, _u_levels(vm, xs)))
+    out = []
+    for x in xs:
+        nr, rec = radius.get(int(vm.f[x]), (cap, {}))  # no radius: never "nonlocal"
+        if cap is None:
+            x_cap, flags = nr, ["degenerate cap"] if rec["degenerate"] else []
+        else:
+            x_cap, flags = cap, ["nonlocal"] if cap > nr + TOL else []
+        row = level[x]
+        if inverse:
+            rows = []
+            for s in (s for s in vm.target.ball_radii(int(vm.f[x])) if le(s, x_cap)):
+                boundary = _boundary(src, frozenset(np.flatnonzero(row < s - TOL).tolist()))
+                if not boundary:
+                    flags.append(f"empty boundary at s={s}")
+                    continue
+                dists = [float(src.dist[x, v]) for v in boundary]
+                big_l, small_l = max(dists), min(dists)
+                rows.append((float(s), big_l, small_l, big_l / small_l if small_l > 0 else math.inf))
+            out.append(_profile(src.ids[x], rows, x_cap, flags))
+        elif row[x] < x_cap - TOL:
+            inside = np.flatnonzero(row < x_cap - TOL)
+            out.append(_shell_profile(vm, x, inside[inside != x], x_cap, flags))
+        else:  # x outside its own ball
+            out.append(_profile(src.ids[x], [], x_cap, flags + ["empty neighbourhood"]))
+    return out
+
+
+def _shell_profile(vm: VertexMap, xi: int, others: np.ndarray, cap: float,
+                   flags: list[str]) -> DilatationProfile:
+    """H over the shells of xi among the sorted vertices ``others``."""
+    src = vm.source
+    if others.size == 0:
+        return _profile(src.ids[xi], [], cap, flags + ["empty shell"])
+    drow = src.dist[xi, others]
+    irow = vm.target.dist[int(vm.f[xi]), vm.f[others]]
     rows = []
-    for s in radii:
-        boundary = _boundary(src, frozenset(np.flatnonzero(level < s - TOL).tolist()))
-        if not boundary:
-            flags.append(f"empty boundary at s={s}")
-            continue
-        dists = [float(src.dist[xi, v]) for v in boundary]
-        big_l, small_l = max(dists), min(dists)
+    for r in (float(v) for v in np.unique(drow)):
+        near = drow <= r + TOL
+        far = drow >= r - TOL
+        big_l = float(irow[near].max())
+        small_l = float(irow[far].min())
         h = big_l / small_l if small_l > 0 else math.inf
-        rows.append((float(s), big_l, small_l, h))
-    return _profile(src.ids[xi], rows, scale_cap, flags)
+        rows.append((r, big_l, small_l, float(h)))
+    return _profile(src.ids[xi], rows, cap, flags)
 
 
 def lipschitz_field(vm: VertexMap) -> dict[str, tuple[float, float]]:

@@ -346,37 +346,38 @@ def _rho_of(m: np.ndarray, p: float, s: np.ndarray) -> np.ndarray:
     return base ** (1.0 / (p - 1.0))
 
 
-def _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget):
+def _restricted_dual(m, p, rows, cols, coef, lam, inner_tol, budget):
     """Maximises the restricted dual sum(lam) - (p-1) sum(m rho(lam)^p) over
-    lam >= 0 in place, for the rows A stacked in CSR parts (coef, cols,
-    indptr); its gradient is 1 - A rho(lam).  Returns (s = A^T lam,
-    rho(lam), units used).
+    lam >= 0 in place, for the rows of A given as (row, edge, coefficient)
+    triplets in row order; its gradient is 1 - A rho(lam).  Both products
+    add their terms in that order, as a CSR product does.  Returns
+    (s = A^T lam, rho(lam), units used).
 
     One unit is the projected-gradient test at the given lam: every row
     with lam > 0 tight within ``inner_tol``, every other row satisfied
     within it.  Only if the test fails does L-BFGS-B run, for at most
     ``budget`` iterations, each counted as one more unit."""
-    n_rows = lam.size
-    owner = np.repeat(np.arange(n_rows), np.diff(indptr))
-    s = np.bincount(cols, weights=lam[owner] * coef, minlength=m.size)
+    def at(x):
+        return np.bincount(cols, weights=x[rows] * coef, minlength=m.size)
+
+    def a(rho):
+        return np.bincount(rows, weights=coef * rho[cols], minlength=lam.size)
+
+    s = at(lam)
     rho = _rho_of(m, p, s)
-    slack = 1.0 - np.add.reduceat(coef * rho[cols], indptr[:-1])
+    slack = 1.0 - a(rho)
     if np.where(lam > 0.0, np.abs(slack), slack).max() <= inner_tol:
         return s, rho, 1
     from scipy.optimize import minimize
-    from scipy.sparse import csr_matrix
-
-    a = csr_matrix((coef, cols, indptr), shape=(n_rows, m.size))
-    at = a.T
 
     def neg_dual(x):
-        rho = _rho_of(m, p, at @ x)
-        return (p - 1.0) * float((m * rho ** p).sum()) - float(x.sum()), a @ rho - 1.0
+        rho = _rho_of(m, p, at(x))
+        return (p - 1.0) * float((m * rho ** p).sum()) - float(x.sum()), a(rho) - 1.0
 
-    res = minimize(neg_dual, lam, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * n_rows,
+    res = minimize(neg_dual, lam, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * lam.size,
                    options={"maxiter": budget, "gtol": inner_tol, "ftol": 0.0})
     lam[:] = res.x
-    s = at @ lam
+    s = at(lam)
     return s, _rho_of(m, p, s), 1 + int(res.nit)
 
 
@@ -396,15 +397,14 @@ def _solve_program(
     energy; gap = value - dual lower bound >= value - Mod >= 0.
     """
     _check_exponent(p)
+    _check_solver(tol, max_iter)
     n_e = m.shape[0]
     rho0 = np.zeros(n_e)
     val, row = oracle(rho0)
     if row is None:
         return rho0, 0.0, 0.0, 0, ("empty family",)
-    cols = np.zeros(0, dtype=int)
-    coef = np.zeros(0)
-    indptr = np.zeros(1, dtype=int)
-    lam = np.zeros(0)
+    rows = cols = np.zeros(0, dtype=int)
+    coef, lam = np.zeros(0), np.zeros(0)
     s = np.zeros(n_e)
     sigs: set[bytes] = set()
     iterations = 0
@@ -424,14 +424,13 @@ def _solve_program(
             break
         sigs.add(sig)
         # a row on unloaded edges starts at its one-row optimum
-        lam0 = 0.0 if s[idx].any() else float(
-            (c * (c / (p * m[idx])) ** (1.0 / (p - 1.0))).sum()) ** (1.0 - p)
-        indptr = np.append(indptr, indptr[-1] + idx.size)
+        lam0 = 0.0 if s[idx].any() else float((c * _rho_of(m[idx], p, c)).sum()) ** (1.0 - p)
+        rows = np.concatenate([rows, np.full(idx.size, lam.size)])
         cols = np.concatenate([cols, idx])
         coef = np.concatenate([coef, c])
         lam = np.append(lam, lam0)
         budget = max(1000, max_iter - iterations)
-        s, rho, used = _restricted_dual(m, p, cols, coef, indptr, lam, inner_tol, budget)
+        s, rho, used = _restricted_dual(m, p, rows, cols, coef, lam, inner_tol, budget)
         iterations += used
         val, row = oracle(rho)
         if val >= 1.0 - tol:
@@ -451,6 +450,14 @@ def _solve_program(
 def _check_exponent(p: float) -> None:
     if not 1.0 < p < math.inf:
         raise ValueError(f"modulus requires 1 < p < inf, got p = {p}")
+
+
+def _check_solver(tol: float, max_iter: int) -> None:
+    """The CLI's ranges: 0 < tol < 1 (NaN is none) and an integer max_iter >= 1."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"modulus requires 0 < tol < 1, got tol = {tol}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise ValueError(f"modulus requires an integer max_iter >= 1, got max_iter = {max_iter!r}")
 
 
 def _weight_kind(weight, edge_weight=None) -> str:

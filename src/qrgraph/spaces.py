@@ -87,9 +87,9 @@ class Space:
     mass: np.ndarray                      # (n,) nonnegative
     edges: tuple[tuple[int, int, float], ...]  # (i, j, length), i < j
     _dist: np.ndarray | None              # (n, n) explicit metric; None = path metric
-    index: Mapping[str, int] = field(repr=False, default=None)
-    adj: tuple[tuple[tuple[int, int], ...], ...] = field(repr=False, default=None)
-    edge_index: Mapping[tuple[int, int], int] = field(repr=False, default=None)
+    index: Mapping[str, int] = field(init=False, repr=False)
+    adj: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    edge_index: Mapping[tuple[int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "index", {v: k for k, v in enumerate(self.ids)})

@@ -545,3 +545,16 @@ class TestAnalyticQr:
         for q in (2.0, 3.0):
             cert = analytic_qr_constant(vm, q=q)
             assert cert.constant == pytest.approx(t ** q)
+
+
+@pytest.mark.parametrize("settings", [
+    {"tol": math.inf},
+    {"max_iter": 0},
+    {"tol": -1.0, "max_iter": 50},
+], ids=["tol_inf", "max_iter_0", "tol_negative"])
+def test_modulus_refuses_solver_settings_outside_the_cli_ranges(settings):
+    # these once returned inf flagged "no admissible scaling", inf after one
+    # iteration, and 60 iterations past a cap of 50
+    fam = CurveFamily.connecting(gen_winding(2, 3, 6).target, ["r000s000"], ["r002s003"])
+    with pytest.raises(ValueError, match="modulus requires"):
+        modulus(fam, **settings)

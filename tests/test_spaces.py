@@ -323,6 +323,14 @@ def test_dict_holding_values_hash_by_identity():
     assert len(set(values + twins)) == 4
 
 
+@pytest.mark.parametrize("derived", [{"index": {"zzz": 5}}, {"adj": ()}, {"edge_index": {}}])
+def test_derived_fields_are_not_constructor_parameters(derived):
+    # index, adj and edge_index always come from ids and edges, so a value
+    # passed for one of them would be dropped without a word
+    with pytest.raises(TypeError):
+        Space(ids=("a",), mass=np.ones(1), edges=(), _dist=None, **derived)
+
+
 class TestLazyPathMetric:
     """A path metric is computed on the first read of ``dist`` and cached."""
 
