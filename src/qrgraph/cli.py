@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable
 
 import numpy as np
 
@@ -289,17 +290,8 @@ def cmd_embed(args):
     return [args.map], results, certs, EXIT_OK if res.injective else EXIT_VALIDATION
 
 
-def _radius_cap(text: str) -> float:
-    """A radius cap of at least TOL, the least one a report gives; NaN and
-    smaller values leave every neighbourhood without its own centre."""
-    value = float(text)
-    if not value >= TOL:
-        raise argparse.ArgumentTypeError(f"radius cap must exceed or equal {TOL}: {text}")
-    return value
-
-
 def _integer_at_least(least: int):
-    """An integer option of at least ``least``: a seed (0) or an iteration cap (1)."""
+    """An integer option of at least ``least``: a seed (0) or a cap (1)."""
     def integer(text: str) -> int:
         try:
             if int(text) >= least:
@@ -310,20 +302,16 @@ def _integer_at_least(least: int):
     return integer
 
 
-def _tol(text: str) -> float:
-    """A modulus stopping tolerance with 0 < tol < 1; NaN is none."""
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"tol must satisfy 0 < tol < 1: {text}")
-    return value
-
-
-def _exponent(text: str) -> float:
-    """A modulus exponent p with 1 < p < inf; NaN is none."""
-    value = float(text)
-    if not 1.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"p must satisfy 1 < p < inf: {text}")
-    return value
+def _number(what: str, ok: Callable[[float], bool]):
+    """A float option for which ``ok`` holds, never NaN; ``what`` names the range."""
+    def number(text: str) -> float:
+        try:
+            if ok(float(text)):
+                return float(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{what}: {text}")
+    return number
 
 
 def main(argv=None) -> int:
@@ -338,8 +326,8 @@ def main(argv=None) -> int:
                        help="sampling seed, an integer >= 0")
 
     def exact_cap(p):
-        p.add_argument("--exact-cap", type=int, default=EXACT_CAP_DEFAULT,
-                       help="vertex cap for the exact pullback solver")
+        p.add_argument("--exact-cap", type=_integer_at_least(1), default=EXACT_CAP_DEFAULT,
+                       help="vertex cap for the exact pullback solver, an integer >= 1")
 
     p = sub.add_parser("validate", help="validate a space or map JSON file")
     p.add_argument("file")
@@ -379,14 +367,15 @@ def main(argv=None) -> int:
     p = sub.add_parser("modulus", help="discrete p-modulus of a curve family")
     p.add_argument("--space", required=True)
     p.add_argument("--family", required=True)
-    p.add_argument("--p", type=_exponent, default=2.0, help="exponent, 1 < p < inf")
+    p.add_argument("--p", type=_number("p must satisfy 1 < p < inf", lambda v: 1.0 < v < math.inf),
+                   default=2.0, help="exponent, 1 < p < inf")
     p.add_argument("--max-iter", type=_integer_at_least(1), default=MAX_ITER_DEFAULT,
                    help="solver work cap, an integer >= 1")
     p.add_argument("--weight", default=None,
                    help="JSON file of vertex weights (e.g. a K_O/K_I field) "
                         "for the weighted modulus")
-    p.add_argument("--tol", type=_tol, default=TOL_DEFAULT,
-                   help="stopping tolerance, 0 < tol < 1")
+    p.add_argument("--tol", type=_number("tol must satisfy 0 < tol < 1", lambda v: 0.0 < v < 1.0),
+                   default=TOL_DEFAULT, help="stopping tolerance, 0 < tol < 1")
     common(p)
     p.set_defaults(fn=cmd_modulus)
 
@@ -394,8 +383,11 @@ def main(argv=None) -> int:
     p.add_argument("--map", required=True)
     p.add_argument("--property", required=True,
                    choices=["bld", "bdd", "lq", "metric-qr", "inverse-qr", "bqs"])
-    p.add_argument("--constant", type=float, default=None)
-    p.add_argument("--radius-cap", type=_radius_cap, default=None,
+    p.add_argument("--constant", type=_number("constant must be a number", lambda v: not math.isnan(v)),
+                   default=None, help="bound on the certified constant, a number or inf")
+    # below TOL, the least radius a report gives, no neighbourhood holds its centre
+    p.add_argument("--radius-cap", default=None,
+                   type=_number(f"radius cap must exceed or equal {TOL}", lambda v: v >= TOL),
                    help="radius (metric-qr) or scale (inverse-qr) cap; "
                         "at least 1e-9, or inf")
     common(p)

@@ -27,6 +27,7 @@ from .spaces import (
     Continuum,
     Space,
     ValidationError,
+    _edge_ids,
     _idx,
     _read_json,
     _threshold_sweeps,
@@ -92,17 +93,16 @@ class VertexMap:
     def validate(self) -> list[str]:
         """Totality is structural; checks surjectivity and edge-compatibility."""
         findings = []
-        hit = set(int(y) for y in self.f)
-        missing = [self.target.ids[y] for y in range(self.target.n) if y not in hit]
+        src, tgt = self.source.ids, self.target.ids
+        hit = set(self.f.tolist())
+        missing = [tgt[y] for y in range(len(tgt)) if y not in hit]
         if missing:
             findings.append(f"not surjective; missing targets: {missing}")
-        for i, j, _ln in self.source.edges:
-            fi, fj = int(self.f[i]), int(self.f[j])
-            if fi != fj and (fi, fj) not in self.target.edge_index:
-                findings.append(
-                    f"edge-compatibility fails on ({self.source.ids[i]},{self.source.ids[j]}):"
-                    f" images ({self.target.ids[fi]},{self.target.ids[fj]}) not adjacent"
-                )
+        ends = self.source._ends
+        fi, fj = self.f[ends].T
+        bad = np.flatnonzero((fi != fj) & (_edge_ids(self.target, fi, fj) < 0)).tolist()
+        findings.extend(f"edge-compatibility fails on ({src[ends[e, 0]]},{src[ends[e, 1]]}):"
+                        f" images ({tgt[fi[e]]},{tgt[fj[e]]}) not adjacent" for e in bad)
         return findings
 
     def apply(self, vid: str) -> str:

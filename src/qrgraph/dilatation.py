@@ -152,15 +152,15 @@ def lipschitz_field(vm: VertexMap) -> dict[str, tuple[float, float]]:
     """Per vertex: (L_f, l_f) = max/min over neighbors of the distance ratio
     d(f(x), f(y)) / d(x, y); a collapsed edge forces l_f = 0."""
     src = vm.source
-    out: dict[str, tuple[float, float]] = {}
-    for x in range(src.n):
-        ratios = []
-        for y, _e in src.adj[x]:
-            dx = float(src.dist[x, y])
-            dy = vm.image_dist(x, y)
-            ratios.append(dy / dx if dx > 0 else math.inf)
-        out[src.ids[x]] = (max(ratios), min(ratios)) if ratios else (0.0, 0.0)
-    return out
+    x, y = np.concatenate([src._ends, src._ends[:, ::-1]]).T  # each edge from each end
+    dx = src.dist[x, y]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(dx > 0, vm.target.dist[vm.f[x], vm.f[y]] / dx, math.inf)
+    big, small = np.full(src.n, -math.inf), np.full(src.n, math.inf)
+    np.maximum.at(big, x, ratio)
+    np.minimum.at(small, x, ratio)
+    return {v: (b, s) if b > -math.inf else (0.0, 0.0)
+            for v, b, s in zip(src.ids, big.tolist(), small.tolist())}
 
 
 def _passed(worst: float, bound: float | None) -> bool:
@@ -171,6 +171,9 @@ def _passed(worst: float, bound: float | None) -> bool:
 
 def _distortion_certificate(kind: str, vm: VertexMap, bound: float | None, curve_budget: int,
                             seed: int, n_random: int) -> Certificate:
+    if not curve_budget >= 1 or not n_random >= 0:  # an empty sample would certify any map
+        raise ValueError(f"{kind}: curve_budget must be >= 1 and n_random >= 0, "
+                         f"got {curve_budget} and {n_random}")
     src = vm.source
     paths = enumerate_paths(src, curve_budget, rng=np.random.default_rng(seed), n_random=n_random)
     worst, path = _worst_distortion(vm, paths, kind)
@@ -248,9 +251,7 @@ class BqsGauge:
 def _connected_sample(space: Space, seed: int, budget: int) -> list[frozenset[int]]:
     """Continuum sample: single edges, closed balls, plus seeded random
     connected subsets."""
-    out: list[frozenset[int]] = []
-    for i, j, _ln in space.edges:
-        out.append(frozenset({i, j}))
+    out = [frozenset(e) for e in space._ends.tolist()]
     for x in range(space.n):
         for r in space.ball_radii(x)[:3]:
             out.append(frozenset(ball_closed(space, space.ids[x], r)))

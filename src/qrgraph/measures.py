@@ -10,7 +10,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _check_cap, _check_inside, _u_levels, normal_radius
+from .covering import VertexMap, _check_cap, _check_inside, _fibre_radius, _u_levels
 from .spaces import _idx, _vertex_array
 
 __all__ = [
@@ -139,10 +139,9 @@ def area_inequality_check(
     )
 
 
-def _essential_indices(vm: VertexMap, xi: int, nu, radii) -> list[float]:
-    """f*nu(U(x, f, r)) / nu(B(f(x), r)) at each radius."""
+def _essential_indices(vm: VertexMap, xi: int, nu, radii, level: np.ndarray) -> list[float]:
+    """f*nu(U(x, f, r)) / nu(B(f(x), r)) at each radius, from x's level row."""
     nu_arr = _vertex_array(vm.target, nu)
-    level = _u_levels(vm, [xi])[0]
     brow = vm.target.dist[int(vm.f[xi])]
     out = []
     for r in radii:
@@ -159,7 +158,7 @@ def essential_index(vm: VertexMap, x: int | str, nu=None, r: float | None = None
     if r is None:
         raise ValueError("essential_index needs r > 0")
     _check_inside("essential_index", vm, xi, r)
-    return _essential_indices(vm, xi, nu, [r])[0]
+    return _essential_indices(vm, xi, nu, [r], _u_levels(vm, [xi])[0])[0]
 
 
 def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
@@ -169,10 +168,12 @@ def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
     A given cap must be at least TOL (ValueError otherwise)."""
     _check_cap("essential_index_profile", cap)
     xi = _idx(vm.source, x)
-    if cap is None:
-        cap, _rec = normal_radius(vm, xi)
+    if cap is None:  # x's level row comes with its fibre's normal radius
+        cap, _rec, fib, level = _fibre_radius(vm, int(vm.f[xi]))
+    else:
+        fib, level = [xi], _u_levels(vm, [xi])
     radii = [r for r in vm.target.ball_radii(int(vm.f[xi])) if le(r, cap)]
-    rows = list(zip(radii, _essential_indices(vm, xi, nu, radii)))
+    rows = list(zip(radii, _essential_indices(vm, xi, nu, radii, level[fib.index(xi)])))
     value = max((v for _r, v in rows), default=1.0)
     return value, cap, rows
 

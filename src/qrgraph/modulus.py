@@ -45,7 +45,7 @@ from ._tol import TOL
 from .certificates import Certificate
 from .covering import VertexMap, branch_set
 from .measures import jacobians
-from .spaces import Curve, Space, ValidationError, _idx, _vertex_array, diameter
+from .spaces import Curve, Space, ValidationError, _edge_ids, _idx, _vertex_array, diameter
 
 __all__ = [
     "CurveFamily",
@@ -109,9 +109,7 @@ class Density:
 
     def line_integral(self, curve: Curve) -> float:
         edges = curve.edge_indices()
-        lens = np.array([self.space.edge_length(e) for e in edges])
-        vals = self.values[edges]
-        return float((lens * vals).sum()) if lens.size else 0.0
+        return float((self.space._lens[edges] * self.values[edges]).sum())
 
 
 @dataclass(frozen=True)
@@ -137,25 +135,26 @@ def edge_measures(space: Space, weight=None, edge_weight=None) -> np.ndarray:
     reported value sum(w_e rho_e^p len_e).  A weight that is not finite and
     nonnegative is a ValidationError naming its vertex or edge.
     """
+    u, v = space._ends.T
     if edge_weight is not None:
         if isinstance(edge_weight, np.ndarray):
             w_e = edge_weight.astype(float)
         else:
-            w_e = np.array([
-                float(edge_weight[(space.ids[i], space.ids[j])]) for i, j, _ln in space.edges
-            ])
-        _check_weights(w_e, [f"{space.ids[i]}-{space.ids[j]}" for i, j, _ln in space.edges], "edge")
-        return w_e * np.array([ln for _i, _j, ln in space.edges])
+            ids = np.array(space.ids, dtype=object)
+            w_e = np.array([float(edge_weight[pair]) for pair in zip(ids[u], ids[v])])
+        _check_weights(w_e, lambda e: f"{space.ids[u[e]]}-{space.ids[v[e]]}", "edge")
+        return w_e * space._lens
     w = _vertex_array(space, weight)
-    _check_weights(w, space.ids, "vertex")
-    return np.array([(w[i] + w[j]) / 2.0 for i, j, _ln in space.edges])
+    _check_weights(w, space.ids.__getitem__, "vertex")
+    return (w[u] + w[v]) / 2.0
 
 
-def _check_weights(w: np.ndarray, names: Sequence[str], kind: str) -> None:
-    """One finding per weight that is not finite and nonnegative."""
+def _check_weights(w: np.ndarray, name: Callable[[int], str], kind: str) -> None:
+    """One finding per weight that is not finite and nonnegative, at the
+    vertex or edge ``name(k)``."""
     bad = np.flatnonzero(~(np.isfinite(w) & (w >= 0.0)))
     if bad.size:
-        raise ValidationError([f"{kind} weight not finite and nonnegative at {names[k]}: {w[k]}"
+        raise ValidationError([f"{kind} weight not finite and nonnegative at {name(k)}: {w[k]}"
                                for k in bad.tolist()])
 
 
@@ -286,22 +285,20 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
             return vals[k], rows[k]
 
         return scan
-    pull_e = np.full(len(src.edges), -1, dtype=int)
-    pull_len = np.zeros(len(src.edges))
-    for e, (i, j, _ln) in enumerate(src.edges):
-        fi, fj = int(f[i]), int(f[j])
-        if fi != fj:
-            te = tgt.edge_index[(fi, fj)]
-            pull_e[e] = te
-            pull_len[e] = tgt.edge_length(te)
+    fi, fj = f[src._ends].T
+    pull_e = _edge_ids(tgt, fi, fj)  # each source edge's image edge, -1 where it collapses
+    lost = np.flatnonzero((pull_e < 0) & (fi != fj))
+    if lost.size:
+        raise KeyError((int(fi[lost[0]]), int(fj[lost[0]])))
+    pull_len = np.zeros(len(pull_e))
+    pull_len[pull_e >= 0] = tgt._lens[pull_e[pull_e >= 0]]
     e_set, f_set, carrier = family.connect
     rank = np.argsort(np.argsort(np.array(src.ids)))
     sources = sorted(e_set & carrier)
     targets = np.array(sorted(f_set & carrier), dtype=int)
     # both arcs of every edge inside the carrier, sorted by (u, w): row w of
     # the CSR lists the in-arcs of w as well, since the arcs come in pairs
-    edges = np.array(src.edges, dtype=float).reshape(-1, 3)
-    ends, length = edges[:, :2].astype(int), edges[:, 2]
+    ends, length = src._ends, src._lens
     inside = np.zeros(src.n, dtype=bool)
     inside[np.fromiter(carrier, dtype=int)] = True
     keep = np.flatnonzero(inside[ends[:, 0]] & inside[ends[:, 1]])
@@ -620,8 +617,8 @@ def minimal_upper_gradient(space: Space, u: Mapping[str, float] | np.ndarray) ->
     """g_e = |u(a) - u(b)| / len_e: the pointwise-minimal edge density with
     |u(end) - u(start)| <= int_gamma g ds for every curve."""
     uv = _vertex_array(space, u)
-    vals = np.array([abs(uv[i] - uv[j]) / ln for i, j, ln in space.edges])
-    return Density(space=space, values=vals)
+    u, v = space._ends.T
+    return Density(space=space, values=np.abs(uv[u] - uv[v]) / space._lens)
 
 
 # -- quasiregularity certificates ------------------------------------------------
@@ -742,12 +739,9 @@ def analytic_qr_constant(vm: VertexMap, mu=None, nu=None, q: float = 2.0) -> Cer
     src = vm.source
     mu_arr = _vertex_array(src, mu)
     jf = jacobians(vm, mu_arr, nu)
+    x, y = np.concatenate([src._ends, src._ends[:, ::-1]]).T  # each edge from each end
     grad = np.zeros(src.n)
-    for v in range(src.n):
-        best = 0.0
-        for w, e in src.adj[v]:
-            best = max(best, vm.image_dist(v, w) / src.edge_length(e))
-        grad[v] = best
+    np.maximum.at(grad, x, vm.target.dist[vm.f[x], vm.f[y]] / np.tile(src._lens, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
         khat = np.where(jf.jac > 0, grad ** q / jf.jac,
                         np.where(grad > 0, np.inf, 0.0))

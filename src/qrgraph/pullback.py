@@ -210,14 +210,12 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
 def zero_distance_pairs(vm: VertexMap) -> list[tuple[str, str]]:
     """Pairs at pullback distance zero: distinct vertices joined inside an
     f-constant connected subgraph (the discreteness failure detector)."""
-    src, f = vm.source, vm.f.tolist()
-    collapsed: dict[int, set[int]] = {}  # image -> ends of the edges collapsed onto it
-    for i, j, _l in src.edges:
-        if f[i] == f[j]:
-            collapsed.setdefault(f[i], set()).update((i, j))
+    src = vm.source
+    fi, fj = vm.f[src._ends].T
+    collapsed, images = src._ends[fi == fj], fi[fi == fj]  # the edges f collapses, their images
     pairs: list[tuple[str, str]] = []
-    for y in sorted(collapsed):
-        for comp in _components_idx(src, frozenset(collapsed[y])):
+    for y in np.unique(images).tolist():
+        for comp in _components_idx(src, frozenset(collapsed[images == y].ravel().tolist())):
             comp_sorted = sorted(comp)
             pairs.extend(
                 (src.ids[a], src.ids[b])

@@ -20,6 +20,12 @@ round changes nothing; above that, scipy's compiled Dijkstra
 matrices are equal bit for bit: the lengths are nonnegative and fl(a + w) is
 monotone in a, so both compute, for each pair, the least over paths of the
 sequential float sum of the path's lengths.
+
+Every per-edge kernel reads the edge table that ``Space`` builds once: the
+endpoints ``_ends`` (m, 2) and lengths ``_lens`` (m,), read-only, in the order
+of the tuple ``edges``, which stays for scalar reads.  ``Space.build`` sorts
+the edges by (i, j) with i < j, so their keys i * n + j ascend, and
+``_edge_ids`` finds the edges of many vertex pairs with one ``searchsorted``.
 """
 from __future__ import annotations
 
@@ -90,9 +96,17 @@ class Space:
     index: Mapping[str, int] = field(init=False, repr=False)
     adj: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
     edge_index: Mapping[tuple[int, int], int] = field(init=False, repr=False)
+    _ends: np.ndarray = field(init=False, repr=False)  # (m, 2) endpoints of edges, read-only
+    _lens: np.ndarray = field(init=False, repr=False)  # (m,) lengths of edges, read-only
 
     def __post_init__(self):
         object.__setattr__(self, "index", {v: k for k, v in enumerate(self.ids)})
+        table = np.fromiter(chain.from_iterable(self.edges), float, 3 * len(self.edges))
+        table.setflags(write=False)  # and so its view _lens
+        ends = table.reshape(-1, 3)[:, :2].astype(np.intp)
+        ends.setflags(write=False)
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_lens", table[2::3])
         adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
         eidx: dict[tuple[int, int], int] = {}
         for e, (i, j, _ln) in enumerate(self.edges):
@@ -291,8 +305,8 @@ class Curve:
         return float(_path_lengths(self.space, [self.vertices])[0])
 
     def edge_indices(self) -> list[int]:
-        sp = self.space
-        return [sp.edge_index[(a, b)] for a, b in zip(self.vertices, self.vertices[1:])]
+        v = np.array(self.vertices)
+        return _edge_ids(self.space, v[:-1], v[1:]).tolist()
 
 
 # -- operations --------------------------------------------------------------
@@ -304,36 +318,31 @@ _NUMPY_APSP_MAX_N = 128
 
 
 def _apsp(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
+    e = np.array(edges, dtype=float).reshape(-1, 3)
+    tail, head = np.concatenate([e[:, :2], e[:, 1::-1]]).astype(np.intp).T  # both arcs
+    w = np.concatenate([e[:, 2], e[:, 2]])
     if n <= _NUMPY_APSP_MAX_N:
-        d = _bellman_ford(n, edges)
+        d = _bellman_ford(n, tail, head, w)
     else:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import shortest_path
 
-        rows = [e[0] for e in edges] + [e[1] for e in edges]
-        cols = [e[1] for e in edges] + [e[0] for e in edges]
-        vals = [e[2] for e in edges] * 2
-        g = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        d = shortest_path(g, method="D", directed=False)
+        d = shortest_path(csr_matrix((w, (tail, head)), shape=(n, n)), method="D", directed=False)
     # The two directions of a pair can sum their edges in a different order
     # and differ in the last bit; keep one value per pair.
     return np.minimum(d, d.T)
 
 
-def _bellman_ford(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
+def _bellman_ford(n: int, tail: np.ndarray, head: np.ndarray, w: np.ndarray) -> np.ndarray:
     """All-sources shortest paths, one source per row: a round relaxes every
-    arc u -> v for every source at once, setting column v to the least of
-    itself and of column u plus the arc's length, until nothing changes."""
+    arc tail -> head of length w for every source at once, setting column head
+    to the least of itself and of column tail plus w, until nothing changes."""
     d = np.full((n, n), math.inf)
     np.fill_diagonal(d, 0.0)
-    if not edges:
+    if not w.size:
         return d
-    e = np.array(edges, dtype=float)
-    ends, length = e[:, :2].astype(np.intp), e[:, 2]
-    tail = np.concatenate([ends[:, 0], ends[:, 1]])
-    head = np.concatenate([ends[:, 1], ends[:, 0]])
     order = np.argsort(head)                   # the arcs into one vertex side by side
-    tail, head, w = tail[order], head[order], np.concatenate([length, length])[order]
+    tail, head, w = tail[order], head[order], w[order]
     starts = np.flatnonzero(np.diff(head, prepend=-1))
     heads = head[starts]
     with np.errstate(over="ignore"):          # lengths near 1e308 sum to inf
@@ -459,16 +468,22 @@ def _path_lengths(space: Space, paths: Sequence[Sequence[int]],
     edge lengths in ``space`` or, given a vertex map ``f`` into ``space``, of
     the distances between consecutive images; inf once the sum overflows."""
     out = np.empty(len(paths))
-    if f is None:  # the edges are sorted by (i, j), so their keys i * n + j are too
-        e = np.array(space.edges).reshape(-1, 3)
-        keys = e[:, 0] * space.n + e[:, 1]
     with np.errstate(over="ignore"):
         for ks, idx in _size_groups(paths):
             a, b = idx[:, :-1], idx[:, 1:]
-            steps = (space.dist[f[a], f[b]] if f is not None else
-                     e[np.searchsorted(keys, np.minimum(a, b) * space.n + np.maximum(a, b)), 2])
+            steps = space._lens[_edge_ids(space, a, b)] if f is None else space.dist[f[a], f[b]]
             out[ks] = reduce(np.add, steps.T, np.zeros(len(ks)))
     return out
+
+
+def _edge_ids(space: Space, a, b) -> np.ndarray:
+    """The edge joining a[k] and b[k] in either order, else -1: one search in
+    the ascending keys i * n + j, closed by a sentinel n * n above every pair's."""
+    n, ends = space.n, space._ends
+    keys = np.append(ends[:, 0] * n + ends[:, 1], n * n)
+    want = np.minimum(a, b) * n + np.maximum(a, b)
+    k = np.searchsorted(keys, want)
+    return np.where(keys[k] == want, k, -1)
 
 
 @dataclass(frozen=True)
@@ -568,8 +583,7 @@ def _threshold_sweeps(space: Space, jobs: Iterable[tuple[np.ndarray, Sequence[in
     so far.  The forest path between two joined vertices is a minimax path:
     no forest edge outweighs the edge that joined them.
     """
-    ends = np.array([(i, j) for i, j, _ln in space.edges], dtype=np.intp).reshape(-1, 2)
-    eu, ev = ends[:, 0], ends[:, 1]
+    eu, ev = space._ends.T
     eu_l, ev_l = eu.tolist(), ev.tolist()
     for key, left, right in jobs:
         w = np.maximum(key[eu], key[ev])

@@ -408,3 +408,20 @@ class TestDeterminism:
                 assert a.endswith("\n") and b.endswith("\n"), rel
             strip = [line for line in a.splitlines() if '"wall_time_s"' not in line]
             assert strip == [line for line in b.splitlines() if '"wall_time_s"' not in line], rel
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--property", "bld", "--constant", "nan"], "constant must be a number"),
+    (["verify", "--property", "bdd", "--constant", "NaN"], "constant must be a number"),
+    (["verify", "--property", "lq", "--constant", "x"], "--constant"),
+    (["pullback", "--exact-cap", -5], "integer >= 1"),
+    (["pullback", "--exact-cap", 0], "integer >= 1"),
+    (["embed", "--exact-cap", 1.5], "integer >= 1"),
+    (["gen", "--kind", "pullback_space", "--exact-cap", "inf"], "integer >= 1"),
+])
+def test_constant_and_exact_cap_out_of_range_are_usage_errors(cover_dir, tmp_path, capsys,
+                                                              argv, text):
+    assert run([*argv, "--map", cover_dir / "map.json", "--out", tmp_path / "o"]) == 64
+    err = capsys.readouterr().err
+    assert text in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()

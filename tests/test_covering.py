@@ -275,3 +275,17 @@ class TestRandomMaps:
             vm = random_map(rng, 8, 3)
             for x in range(vm.source.n):
                 assert 1 <= local_index(vm, x) <= max_multiplicity(vm)
+
+
+def test_validate_lists_every_incompatible_edge_in_edge_order():
+    # a-b and b-c map onto the non-adjacent x, z; c-d and d-e onto edges
+    src = Space.build([(v, 1.0) for v in "abcde"],
+                      [("d", "e", 1.0), ("b", "c", 1.0), ("a", "b", 1.0), ("c", "d", 1.0)], "path")
+    tgt = Space.build([(v, 1.0) for v in "xyz"], [("x", "y", 1.0), ("y", "z", 1.0)], "path")
+    want = ["edge-compatibility fails on (a,b): images (x,z) not adjacent",
+            "edge-compatibility fails on (b,c): images (z,x) not adjacent"]
+    f = np.array([tgt.i(y) for y in "xzxyz"])
+    assert VertexMap(src, tgt, f, check=False).validate() == want
+    with pytest.raises(ValidationError) as err:
+        VertexMap.build(src, tgt, dict(zip("abcde", "xzxyz")))
+    assert list(err.value.findings) == want

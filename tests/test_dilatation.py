@@ -263,3 +263,18 @@ def test_infinite_constant_fails_an_infinite_bound(verify):
     cert = verify(collapsing_path(), bound=math.inf)
     assert cert.constant == math.inf
     assert not cert.passed
+
+
+def test_distortion_certificates_refuse_an_empty_curve_sample():
+    # a-b-c onto x-y with a, b -> x collapses a-b: infinite distortion, which
+    # a sample without curves would certify as 1
+    src = Space.build([(v, 1.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", 1.0)], "path")
+    tgt = Space.build([(v, 1.0) for v in "xy"], [("x", "y", 1.0)], "path")
+    vm = VertexMap.build(src, tgt, {"a": "x", "b": "x", "c": "y"})
+    for verify in (bld_verify, bdd_verify):
+        cert = verify(vm)
+        assert cert.constant == math.inf and not cert.passed
+        for budget, n_random in ((0, 0), (-3, 0), (1, -1), (0, 100)):
+            with pytest.raises(ValueError, match="curve_budget must be >= 1 and n_random >= 0"):
+                verify(vm, curve_budget=budget, n_random=n_random)
+        assert verify(vm, curve_budget=1, n_random=0).constant == math.inf

@@ -211,3 +211,34 @@ class TestConditions:
         mu[3] = 0.0
         cert = condition_N_check(vm, mu=mu)
         assert not cert.passed and cert.witness == "c0003"
+
+
+def test_essential_index_profile_reads_its_row_from_the_normal_radius_sweep(monkeypatch):
+    from qrgraph import covering
+
+    vm = gen_winding(2, 4, 8)
+    sweeps = []
+    real = covering._threshold_sweeps
+
+    def counting(space, jobs):
+        for out in real(space, jobs):
+            sweeps.append(1)
+            yield out
+
+    monkeypatch.setattr(covering, "_threshold_sweeps", counting)
+    for x in range(vm.source.n):
+        essential_index_profile(vm, x)
+    assert len(sweeps) == vm.source.n == 65
+    sweeps.clear()
+    essential_index_profile(vm, 0, cap=0.5)
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("vm", [gen_winding(2, 4, 8), gen_cycle_cover(8, 2)],
+                         ids=["winding", "cycle_cover"])
+def test_essential_index_profile_default_cap_is_the_normal_radius(vm):
+    from qrgraph.covering import normal_radius
+
+    for x in range(vm.source.n):
+        cap = normal_radius(vm, x)[0]
+        assert essential_index_profile(vm, x) == essential_index_profile(vm, x, cap=cap)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_map, reference_family_oracle
+from qrgraph.covering import VertexMap
 from qrgraph.generators import gen_grid, gen_polar_grid, gen_winding
 from qrgraph.modulus import (
     CurveFamily,
@@ -232,3 +233,26 @@ def test_certificates_equal_reference(certificate, monkeypatch):
 @pytest.mark.slow
 def test_annulus_64_solve_equals_reference():
     _assert_same_solve(_annulus_family(64), 2.0)
+
+
+class _NoNegativeIndex(np.ndarray):
+    """An edge-length table that fails on a read at a negative index."""
+
+    def __getitem__(self, k):
+        assert not np.any(np.asarray(k) < 0), f"length read at {k}"
+        return super().__getitem__(k)
+
+
+def test_oracle_of_an_incompatible_map_raises_before_reading_a_length():
+    # a-b maps onto x-z, which is no edge: the pulled-back cost is undefined
+    src = Space.build([(v, 1.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", 1.0)], "path")
+    tgt = Space.build([(v, 1.0) for v in "xyz"], [("x", "y", 1.0), ("y", "z", 1.0)], "path")
+    object.__setattr__(tgt, "_lens", tgt._lens.view(_NoNegativeIndex))
+    fam = CurveFamily.connecting(src, ["a"], ["c"])
+    bad = VertexMap(src, tgt, np.array([0, 2, 1]), check=False)
+    with pytest.raises(KeyError) as err:
+        _family_oracle(fam, bad)
+    assert err.value.args == ((0, 2),)
+    good = VertexMap(src, tgt, np.array([0, 1, 2]))
+    value, _row = _family_oracle(fam, good)(np.ones(len(tgt.edges)))
+    assert value == 2.0

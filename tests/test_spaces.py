@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -440,3 +441,47 @@ class TestBoundedTurningAgainstPullback:
             assert lo == float(np.max(lower[iu] / sq.dist[iu]))
             assert hi == 2.0 * lo
             assert lo > 1.0
+
+
+def _edge_table_spaces():
+    vm = gen_winding(2, 4, 8)
+    return {"winding_source": vm.source, "winding_target": vm.target,
+            "cycle_cover": gen_cycle_cover(8, 2).source,
+            "polar_grid": gen_polar_grid(5, 8, 1.0, math.e),
+            "no_edges": Space.build([("a", 1.0)], [], "path")}
+
+
+EDGE_TABLE_SPACES = _edge_table_spaces()
+
+
+@pytest.mark.parametrize("name", list(EDGE_TABLE_SPACES))
+def test_edge_table_equals_edges_and_is_read_only(name):
+    space = EDGE_TABLE_SPACES[name]
+    ends, lens = space._ends, space._lens
+    assert ends.shape == (len(space.edges), 2) and ends.dtype == np.intp
+    assert lens.shape == (len(space.edges),) and lens.dtype == float
+    assert [(i, j, ln) for (i, j), ln in zip(ends.tolist(), lens.tolist())] == list(space.edges)
+    for table in (ends, lens):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0
+
+
+@pytest.mark.parametrize("derived", ["_ends", "_lens"])
+def test_edge_table_is_not_a_constructor_parameter(derived):
+    # like index, adj and edge_index, the table always comes from edges
+    assert derived in {f.name for f in dataclasses.fields(Space) if not f.init}
+    with pytest.raises(TypeError):
+        Space(ids=("a",), mass=np.ones(1), edges=(), _dist=None, **{derived: np.zeros(0)})
+
+
+@pytest.mark.parametrize("name", list(EDGE_TABLE_SPACES))
+def test_edge_ids_agree_with_edge_index(name):
+    space = EDGE_TABLE_SPACES[name]
+    pairs = list(space.edge_index)  # every adjacent pair, in both orders
+    a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    assert spaces._edge_ids(space, a, b).tolist() == [space.edge_index[p] for p in pairs]
+    others = [(i, j) for i in range(space.n) for j in range(space.n)
+              if (i, j) not in space.edge_index]
+    a, b = np.array(others, dtype=np.intp).reshape(-1, 2).T
+    assert spaces._edge_ids(space, a, b).tolist() == [-1] * len(others)
