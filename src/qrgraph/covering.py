@@ -91,13 +91,13 @@ class VertexMap:
         return cls(source=source, target=target, f=arr)
 
     def validate(self) -> list[str]:
-        """Totality is structural; checks surjectivity and edge-compatibility."""
-        findings = []
+        """Totality is structural; checks image range, surjectivity and edge-compatibility."""
         src, tgt = self.source.ids, self.target.ids
-        hit = set(self.f.tolist())
-        missing = [tgt[y] for y in range(len(tgt)) if y not in hit]
-        if missing:
-            findings.append(f"not surjective; missing targets: {missing}")
+        out = np.flatnonzero((self.f < 0) | (self.f >= len(tgt))).tolist()
+        if out:
+            return [f"image index {self.f[k]} of {src[k]} not in range({len(tgt)})" for k in out]
+        missing = [tgt[y] for y in np.flatnonzero(~np.isin(np.arange(len(tgt)), self.f))]
+        findings = [f"not surjective; missing targets: {missing}"] if missing else []
         ends = self.source._ends
         fi, fj = self.f[ends].T
         bad = np.flatnonzero((fi != fj) & (_edge_ids(self.target, fi, fj) < 0)).tolist()

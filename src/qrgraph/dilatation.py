@@ -20,7 +20,7 @@ from ._tol import TOL, le
 from .certificates import Certificate
 from .covering import VertexMap, _boundary, _check_cap, _fibre_radius, _u_levels
 from .pullback import _worst_distortion, enumerate_paths
-from .spaces import Space, _diameters, _idx, ball_closed
+from .spaces import Space, _diameters, _idx, _path_lengths, ball_closed
 
 __all__ = [
     "DilatationProfile",
@@ -176,7 +176,8 @@ def _distortion_certificate(kind: str, vm: VertexMap, bound: float | None, curve
                          f"got {curve_budget} and {n_random}")
     src = vm.source
     paths = enumerate_paths(src, curve_budget, rng=np.random.default_rng(seed), n_random=n_random)
-    worst, path = _worst_distortion(vm, paths, kind)
+    size = _path_lengths if kind == "bld" else _diameters
+    worst, path = _worst_distortion(size(src, paths), size(vm.target, paths, vm.f), paths)
     witness = None if path is None else [src.ids[v] for v in path]
     return Certificate(kind, _passed(worst, bound), constant=worst, witness=witness,
                        details={"paths": len(paths), "bound": bound, "seed": seed})

@@ -71,21 +71,24 @@ def gen_polar_grid(levels: int, sectors: int, r0: float, r1: float) -> Space:
     ratio exp(2*pi/sectors) so cells stay conformally proportioned.
     Masses are incident cell areas; the distance matrix is the path metric.
     """
-    if r1 <= r0 or r1 <= 0 or r0 < 0:
-        raise ValueError("need 0 <= r0 < r1")
+    if not 0 <= r0 < r1 < math.inf:  # NaN fails too
+        raise ValueError("need 0 <= r0 < r1 < inf")
     if sectors < 3:
         raise ValueError("need sectors >= 3")
     if levels < 2:
         raise ValueError("need levels >= 2")
-    if r0 > 0:
-        ratio = (r1 / r0) ** (1.0 / (levels - 1))
-        radii = [r0 * ratio ** i for i in range(levels)]
-        center = False
-    else:
-        ratio = math.exp(2.0 * math.pi / sectors)
-        radii = [r1 / ratio ** (levels - 1 - i) for i in range(levels)]
-        center = True
-    return _polar_space(radii, sectors, center)
+    try:
+        if r0 > 0:
+            ratio = (r1 / r0) ** (1.0 / (levels - 1))
+            radii = [r0 * ratio ** i for i in range(levels)]
+            center = False
+        else:
+            ratio = math.exp(2.0 * math.pi / sectors)
+            radii = [r1 / ratio ** (levels - 1 - i) for i in range(levels)]
+            center = True
+        return _polar_space(radii, sectors, center)
+    except (OverflowError, ZeroDivisionError):  # a float power or quotient out of range
+        raise ValueError("radii out of float range") from None
 
 
 def _polar_space(radii: list[float], sectors: int, center: bool) -> Space:
@@ -96,27 +99,20 @@ def _polar_space(radii: list[float], sectors: int, center: bool) -> Space:
     # the first/last cells clamp at the region boundary and tessellate it
     # exactly
     mid = [math.sqrt(radii[i] * radii[i + 1]) for i in range(levels - 1)]
-    if center:
-        inner = radii[0] ** 2 / mid[0] if levels > 1 else radii[0] / 2.0
-    else:
-        inner = radii[0]
+    inner = radii[0] ** 2 / mid[0] if center else radii[0]  # both callers give >= 2 levels
     bounds = [inner] + mid + [radii[-1]]
-    verts: list[tuple[str, float]] = []
-    if center:
-        verts.append(("center", math.pi * inner * inner))
+    verts = [("center", math.pi * inner * inner)] if center else []
     for i in range(levels):
         area = 0.5 * dth * (bounds[i + 1] ** 2 - bounds[i] ** 2)
-        for j in range(sectors):
-            verts.append((_ring_vid(i, j), area))
-    edges: list[tuple[str, str, float]] = []
-    if center:
-        for j in range(sectors):
-            edges.append(("center", _ring_vid(0, j), radii[0]))
+        verts += [(_ring_vid(i, j), area) for j in range(sectors)]
+    edges = [("center", _ring_vid(0, j), radii[0]) for j in range(sectors) if center]
     for i in range(levels):
         for j in range(sectors):
             edges.append((_ring_vid(i, j), _ring_vid(i, (j + 1) % sectors), radii[i] * dth))
             if i + 1 < levels:
                 edges.append((_ring_vid(i, j), _ring_vid(i + 1, j), radii[i + 1] - radii[i]))
+    if not all(0.0 < rec[-1] < math.inf for rec in verts + edges):  # each mass and length
+        raise ValueError("radii give cell masses or edge lengths that are not finite and positive")
     return Space.build(verts, edges, "path")
 
 

@@ -167,15 +167,16 @@ def _curve_row(space: Space, verts: Sequence[int], f: np.ndarray | None = None) 
     """Constraint row of a vertex path over the edges of ``space``; given a
     vertex map ``f`` into ``space``, of the image path f ∘ gamma, with
     collapsed steps contributing nothing."""
-    if f is not None:
-        verts = [int(f[v]) for v in verts]
-    coeffs: dict[int, float] = {}
-    for a, b in zip(verts, verts[1:]):
-        if a != b:
-            e = space.edge_index[(a, b)]
-            coeffs[e] = coeffs.get(e, 0.0) + space.edge_length(e)
-    idx = np.array(sorted(coeffs), dtype=int)
-    return idx, np.array([coeffs[e] for e in idx])
+    v = np.array(verts, dtype=np.intp) if f is None else f[list(verts)]
+    moved = v[:-1] != v[1:]
+    a, b = v[:-1][moved], v[1:][moved]
+    e = _edge_ids(space, a, b)
+    if (e < 0).any():
+        k = np.argmax(e < 0)
+        raise KeyError((int(a[k]), int(b[k])))
+    # bincount adds each edge's lengths in path order, as a left fold from 0.0
+    idx, at = np.unique(e, return_inverse=True)
+    return idx, np.bincount(at, weights=space._lens[e])
 
 
 def _walk_back(targets: np.ndarray, d: np.ndarray, ln: np.ndarray, rank: np.ndarray,
@@ -421,7 +422,10 @@ def _solve_program(
             break
         sigs.add(sig)
         # a row on unloaded edges starts at its one-row optimum
-        lam0 = 0.0 if s[idx].any() else float((c * _rho_of(m[idx], p, c)).sum()) ** (1.0 - p)
+        try:
+            lam0 = 0.0 if s[idx].any() else float((c * _rho_of(m[idx], p, c)).sum()) ** (1.0 - p)
+        except (OverflowError, ZeroDivisionError):  # the power leaves the float range
+            raise ValidationError([f"p = {p} overflows the one-row start of a curve"]) from None
         rows = np.concatenate([rows, np.full(idx.size, lam.size)])
         cols = np.concatenate([cols, idx])
         coef = np.concatenate([coef, c])
@@ -695,25 +699,20 @@ def vaisala_certificate(vm: VertexMap, gamma: Sequence[Curve], gamma_prime: Sequ
         if len(lift_ids) != m:
             return precondition(f"curve {j} has {len(lift_ids)} lifts, expected {m}")
         gp = gamma_prime[j].vertices
-        offsets = []
+        offsets = []  # (lift, offset in gp, its source edges)
         for li in lift_ids:
-            lv = gamma[li].vertices
-            img = tuple(int(vm.f[v]) for v in lv)
+            img = tuple(int(vm.f[v]) for v in gamma[li].vertices)
             if any(a == b for a, b in zip(img, img[1:])):
                 return precondition(f"lift {li} collapses an edge")
             off = _subseq_offset(gp, img)
             if off is None:
                 return precondition(f"lift {li} image is not a subcurve of curve {j}")
-            offsets.append((li, off))
-        for (la, oa), (lb, ob) in itertools.combinations(offsets, 2):
-            va, vb = gamma[la].vertices, gamma[lb].vertices
+            offsets.append((li, off, gamma[li].edge_indices()))
+        for (la, oa, ea), (lb, ob, eb) in itertools.combinations(offsets, 2):
             for t in range(len(gp) - 1):
                 sa, sb = t - oa, t - ob
-                if 0 <= sa < len(va) - 1 and 0 <= sb < len(vb) - 1:
-                    ea = src.edge_index[(va[sa], va[sa + 1])]
-                    eb = src.edge_index[(vb[sb], vb[sb + 1])]
-                    if ea == eb:
-                        return precondition(f"lifts {la},{lb} share an edge at step {t}")
+                if 0 <= sa < len(ea) and 0 <= sb < len(eb) and ea[sa] == eb[sb]:
+                    return precondition(f"lifts {la},{lb} share an edge at step {t}")
     mod_lift = modulus(CurveFamily.explicit(src, gamma), p=q)
     mod_img = modulus(CurveFamily.explicit(tgt, gamma_prime), p=q)
     ratio = _safe_ratio(m * mod_img.value, mod_lift.value)

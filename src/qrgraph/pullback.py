@@ -292,13 +292,11 @@ def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | Non
     return out
 
 
-def _worst_distortion(vm: VertexMap, paths: list[tuple[int, ...]], kind: str):
+def _worst_distortion(a: np.ndarray, b: np.ndarray, paths: list[tuple[int, ...]]):
     """Worst two-sided distortion max(b/a, a/b), at least 1, over the paths, of the source
-    size a against the image size b under ``vm``, and the first path attaining it; sizes are
-    lengths for kind "bld" and diameters for "bdd".  A zero on either side is infinite
-    distortion, with the first such path as witness; two sizes that overflow to inf count as 1."""
-    size = _path_lengths if kind == "bld" else _diameters
-    a, b = size(vm.source, paths), size(vm.target, paths, vm.f)
+    sizes a against the image sizes b, and the first path attaining it.  A zero on either
+    side is infinite distortion, with the first such path as witness; two sizes that
+    overflow to inf count as 1."""
     zero = (a <= TOL) | (b <= TOL)
     if zero.any():
         return math.inf, paths[int(zero.argmax())]
@@ -375,8 +373,10 @@ def bld_bdd_transfer_check(fact: Factorization, seed: int = 0) -> Certificate:
     (exactly under the exact metric, within factor 2 under the bracket)."""
     paths = enumerate_paths(fact.vm.source, 4, rng=np.random.default_rng(seed), n_random=50)
     exact = fact.metric_choice == "exact"
-    f_bld, f_bdd, g_bld, g_bdd = (_worst_distortion(m, paths, kind)[0]
-                                  for m in (fact.vm, fact.lift) for kind in ("bld", "bdd"))
+    # f and g share their source: its lengths and diameters are computed once
+    sizes = [(size, size(fact.vm.source, paths)) for size in (_path_lengths, _diameters)]
+    f_bld, f_bdd, g_bld, g_bdd = (_worst_distortion(a, size(m.target, paths, m.f), paths)[0]
+                                  for m in (fact.vm, fact.lift) for size, a in sizes)
     if exact:
         # f == g first: two infinite distortions are equal, but inf - inf is nan
         ok = all(f == g or abs(f - g) <= 1e-9 * max(1.0, f)

@@ -23,9 +23,11 @@ sequential float sum of the path's lengths.
 
 Every per-edge kernel reads the edge table that ``Space`` builds once: the
 endpoints ``_ends`` (m, 2) and lengths ``_lens`` (m,), read-only, in the order
-of the tuple ``edges``, which stays for scalar reads.  ``Space.build`` sorts
-the edges by (i, j) with i < j, so their keys i * n + j ascend, and
-``_edge_ids`` finds the edges of many vertex pairs with one ``searchsorted``.
+of the tuple ``edges``, which stays for scalar reads.  ``Space`` checks that
+the edges are (i, j) with i < j in strictly ascending keys i * n + j, the order
+``Space.build`` sorts them in.  ``_edge_ids``, the one lookup from vertex pairs
+to edges, relies on it to search many pairs at once, and ``adj`` to list each
+vertex's neighbours in ascending order without a sort.
 """
 from __future__ import annotations
 
@@ -95,7 +97,6 @@ class Space:
     _dist: np.ndarray | None              # (n, n) explicit metric; None = path metric
     index: Mapping[str, int] = field(init=False, repr=False)
     adj: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
-    edge_index: Mapping[tuple[int, int], int] = field(init=False, repr=False)
     _ends: np.ndarray = field(init=False, repr=False)  # (m, 2) endpoints of edges, read-only
     _lens: np.ndarray = field(init=False, repr=False)  # (m,) lengths of edges, read-only
 
@@ -105,17 +106,16 @@ class Space:
         table.setflags(write=False)  # and so its view _lens
         ends = table.reshape(-1, 3)[:, :2].astype(np.intp)
         ends.setflags(write=False)
+        i, j = ends.T
+        if not (np.all((0 <= i) & (i < j) & (j < self.n)) and np.all(np.diff(i * self.n + j) > 0)):
+            raise ValidationError(["edges must be (i, j, len), 0 <= i < j < n, strictly ascending"])
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_lens", table[2::3])
         adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
-        eidx: dict[tuple[int, int], int] = {}
         for e, (i, j, _ln) in enumerate(self.edges):
             adj[i].append((j, e))
             adj[j].append((i, e))
-            eidx[(i, j)] = e
-            eidx[(j, i)] = e
-        object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "edge_index", eidx)
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
         self.mass.setflags(write=False)
         if self._dist is not None:
             self._dist.setflags(write=False)
@@ -290,11 +290,14 @@ class Curve:
     def __post_init__(self):
         if not self.vertices:
             raise ValidationError(["empty curve"])
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if (a, b) not in self.space.edge_index:
-                raise ValidationError(
-                    [f"consecutive vertices not adjacent: ({self.space.ids[a]},{self.space.ids[b]})"]
-                )
+        v, n = np.array(self.vertices), self.space.n
+        out = v[(v < 0) | (v >= n)]
+        if out.size:
+            raise ValidationError([f"curve vertex index {out[0]} not in range({n})"])
+        bad = np.flatnonzero(_edge_ids(self.space, v[:-1], v[1:]) < 0)
+        if bad.size:
+            a, b = (self.space.ids[x] for x in v[bad[0]:bad[0] + 2])
+            raise ValidationError([f"consecutive vertices not adjacent: ({a},{b})"])
 
     @classmethod
     def from_ids(cls, space: Space, ids: Sequence[str]) -> "Curve":
@@ -477,8 +480,8 @@ def _path_lengths(space: Space, paths: Sequence[Sequence[int]],
 
 
 def _edge_ids(space: Space, a, b) -> np.ndarray:
-    """The edge joining a[k] and b[k] in either order, else -1: one search in
-    the ascending keys i * n + j, closed by a sentinel n * n above every pair's."""
+    """The edge joining a[k] and b[k] in range(n), in either order, else -1: one
+    search in the ascending keys i * n + j, closed by a sentinel n * n above every pair's."""
     n, ends = space.n, space._ends
     keys = np.append(ends[:, 0] * n + ends[:, 1], n * n)
     want = np.minimum(a, b) * n + np.maximum(a, b)

@@ -21,6 +21,15 @@ from qrgraph.pullback import _reachable_within, _target_pair_sweeps, enumerate_p
 from qrgraph.spaces import Space
 
 
+def edge_index_reference(space: Space) -> dict[tuple[int, int], int]:
+    """Every adjacent pair of ``space``, in both orders, to the index of the
+    edge joining it, read off ``space.edges`` by a ``for`` loop."""
+    index: dict[tuple[int, int], int] = {}
+    for e, (i, j, _ln) in enumerate(space.edges):
+        index[(i, j)] = index[(j, i)] = e
+    return index
+
+
 def random_connected_space(rng: np.random.Generator, n: int, extra_edges: int = 2,
                            unit_lengths: bool = False) -> Space:
     """Random tree plus a few chords; random positive lengths and masses."""
@@ -147,10 +156,11 @@ def reference_family_oracle(family, vm: VertexMap | None = None):
     tgt, f = (src, np.arange(src.n)) if vm is None else (vm.target, vm.f)
     pull_e = np.full(len(src.edges), -1, dtype=int)
     pull_len = np.zeros(len(src.edges))
+    tgt_index = edge_index_reference(tgt)
     for e, (i, j, _ln) in enumerate(src.edges):
         fi, fj = int(f[i]), int(f[j])
         if fi != fj:
-            te = tgt.edge_index[(fi, fj)]
+            te = tgt_index[(fi, fj)]
             pull_e[e] = te
             pull_len[e] = tgt.edge_length(te)
     e_set, f_set, carrier = family.connect
@@ -250,8 +260,9 @@ def path_length_reference(space: Space, path, f=None) -> float:
     between consecutive images.  Not builtin ``sum()``, which compensates
     float sums from CPython 3.12 on."""
     total = 0.0
+    index = edge_index_reference(space)
     for u, v in zip(path, path[1:]):
-        total += (space.edge_length(space.edge_index[(u, v)]) if f is None
+        total += (space.edge_length(index[(u, v)]) if f is None
                   else float(space.dist[f[u], f[v]]))
     return total
 

@@ -425,3 +425,53 @@ def test_constant_and_exact_cap_out_of_range_are_usage_errors(cover_dir, tmp_pat
     err = capsys.readouterr().err
     assert text in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def winding_dir(tmp_path_factory):
+    """The files of ``gen --kind winding --k 2 --levels 4 --sectors 8`` and a
+    family joining the target's innermost ring to its outermost."""
+    out = tmp_path_factory.mktemp("winding")
+    assert run(["gen", "--kind", "winding", "--k", 2, "--levels", 4, "--sectors", 8,
+                "--out", out]) == 0
+    (out / "family.json").write_text(json.dumps(
+        {"connect": {"E": [f"r000s{j:03d}" for j in range(8)],
+                     "F": [f"r003s{j:03d}" for j in range(8)]}}))
+    return out
+
+
+FLOAT_OPTIONS = {
+    "gen --r0": ["gen", "--kind", "polar_grid", "--r0"],
+    "gen --r1": ["gen", "--kind", "polar_grid", "--r1"],
+    "gen --r0 0 --r1": ["gen", "--kind", "polar_grid", "--r0", 0, "--r1"],
+    "modulus --p": ["modulus", "--space", "<dir>/target.json", "--family", "<dir>/family.json",
+                    "--p"],
+    "modulus --tol": ["modulus", "--space", "<dir>/target.json", "--family", "<dir>/family.json",
+                      "--tol"],
+    "verify --constant": ["verify", "--map", "<dir>/map.json", "--property", "bld", "--constant"],
+    "verify --radius-cap": ["verify", "--map", "<dir>/map.json", "--property", "metric-qr",
+                            "--radius-cap"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "1e-320", "-0.0"])
+@pytest.mark.parametrize("option", list(FLOAT_OPTIONS))
+def test_float_option_at_the_edge_of_the_float_range_ends_in_an_exit_code(
+        winding_dir, tmp_path, capsys, option, value):
+    *argv, flag = [str(a).replace("<dir>", str(winding_dir)) for a in FLOAT_OPTIONS[option]]
+    # --flag=value: argparse reads a separate "-inf" as an option
+    assert run([*argv, f"{flag}={value}", "--out", tmp_path / "o"]) in (0, 2, 3, 64)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--kind", "polar_grid", "--r0=nan", "--r1", 2], 64),  # was a disk, exit 0
+    (["gen", "--kind", "polar_grid", "--r1=inf"], 64),  # was a page of findings, exit 2
+    (["gen", "--kind", "polar_grid", "--r0", 0, "--r1=1e-320"], 64),
+    (["modulus", "--space", "<dir>/target.json", "--family", "<dir>/family.json", "--p=1e5"], 2),
+], ids=["r0-nan", "r1-inf", "disk-r1-1e-320", "p-1e5"])
+def test_float_option_out_of_range_is_refused_in_one_line(winding_dir, tmp_path, capsys, argv, code):
+    argv = [str(a).replace("<dir>", str(winding_dir)) for a in argv]
+    assert run([*argv, "--out", tmp_path / "o"]) == code
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "o").exists()

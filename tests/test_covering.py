@@ -289,3 +289,14 @@ def test_validate_lists_every_incompatible_edge_in_edge_order():
     with pytest.raises(ValidationError) as err:
         VertexMap.build(src, tgt, dict(zip("abcde", "xzxyz")))
     assert list(err.value.findings) == want
+
+
+@pytest.mark.parametrize("f, index, at", [([0, 7, 1], 7, "s0001"), ([-1, 0, 1], -1, "s0000")])
+def test_image_index_outside_the_target_is_named_before_any_edge_lookup(f, index, at):
+    # -1 would wrap to t0004, whose edge to t0000 exists; 7 is past the end
+    src, tgt = gen_cycle(3, prefix="s"), gen_cycle(5, prefix="t")
+    with pytest.raises(ValidationError) as err:
+        VertexMap(src, tgt, np.array(f))
+    assert list(err.value.findings) == [
+        f"image index {index} of {at} not in range(5)"]
+    VertexMap(src, tgt, np.array(f), check=False)  # unchecked stays unchecked

@@ -43,6 +43,19 @@ class TestPolarGrid:
     def test_passes_space_validator(self):
         assert gen_polar_grid(5, 8, 0.5, 2.0).validate() == []
 
+    @pytest.mark.parametrize("r0, r1", [(math.nan, 2.0), (1.0, math.inf), (0.0, math.nan)])
+    def test_non_finite_radii_rejected(self, r0, r1):
+        # NaN fails r0 > 0 as well as r0 < 0, which made a disk of it
+        with pytest.raises(ValueError, match=r"need 0 <= r0 < r1 < inf"):
+            gen_polar_grid(4, 8, r0, r1)
+
+    @pytest.mark.parametrize("r0, r1", [(1.0, 1e308), (0.0, 1e308), (0.0, 1e-320),
+                                        (0.0, 1e-300), (1e-300, 1.0)])
+    def test_radii_whose_cells_leave_the_float_range_rejected(self, r0, r1):
+        # squared radii overflow, or cell areas underflow to zero
+        with pytest.raises(ValueError, match="^radii (out of float range|give cell masses or edge lengths that are not finite)"):
+            gen_polar_grid(4, 8, r0, r1)
+
 
 class TestWinding:
     def test_k1_is_graph_isomorphism(self):

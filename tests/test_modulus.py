@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qrgraph
-from conftest import random_connected_space
+from conftest import edge_index_reference, random_connected_space
 from qrgraph import spaces
 from qrgraph.covering import VertexMap
 from qrgraph.generators import gen_cycle, gen_cycle_cover, gen_grid, gen_polar_grid, gen_winding, identity_map
@@ -26,7 +26,8 @@ from qrgraph.modulus import (
     modulus_bruteforce,
     vaisala_certificate,
 )
-from qrgraph.spaces import Curve, Space, space_from_json, space_to_json
+from qrgraph.modulus import _curve_row
+from qrgraph.spaces import Curve, Space, ValidationError, space_from_json, space_to_json
 
 
 def random_simple_path(rng, space, max_len=6):
@@ -83,6 +84,17 @@ class TestSolverBasics:
         sp = Space.build([(v, 1.0) for v in "ab"], [("a", "b", 1.0)], "path")
         with pytest.raises(ValueError, match="1 < p < inf"):
             modulus(CurveFamily.connecting(sp, ["a"], ["b"]), p=p)
+
+    @pytest.mark.parametrize("p", [1e5, 1e308])
+    def test_exponent_beyond_the_float_range_is_named(self, p):
+        # rings 0 to 3 are joined by curves shorter than 1, whose one-row
+        # start length ** (1 - p) overflows
+        tgt = gen_winding(2, 4, 8).target
+        fam = CurveFamily.connecting(tgt, [f"r000s{j:03d}" for j in range(8)],
+                                     [f"r003s{j:03d}" for j in range(8)])
+        with pytest.raises(ValidationError) as err:
+            modulus(fam, p=p)
+        assert str(err.value) == f"p = {p} overflows the one-row start of a curve"
 
     def test_density_admissible(self):
         rng = np.random.default_rng(21)
@@ -558,3 +570,21 @@ def test_modulus_refuses_solver_settings_outside_the_cli_ranges(settings):
     fam = CurveFamily.connecting(gen_winding(2, 3, 6).target, ["r000s000"], ["r002s003"])
     with pytest.raises(ValueError, match="modulus requires"):
         modulus(fam, **settings)
+
+
+def test_curve_row_adds_each_edge_in_path_order():
+    # a path that runs an edge four times: its coefficient is the left fold
+    # 0.0 + len + len + len + len, as a dict of running sums would give
+    sp = Space.build([(v, 1.0) for v in "abc"], [("a", "b", 0.1), ("b", "c", 0.7)], "path")
+    path = [0, 1, 2, 1, 0, 1, 0]
+    index, coeffs = edge_index_reference(sp), {}
+    for a, b in zip(path, path[1:]):
+        e = index[(a, b)]
+        coeffs[e] = coeffs.get(e, 0.0) + sp.edge_length(e)
+    idx, coef = _curve_row(sp, path)
+    assert idx.tolist() == sorted(coeffs) and coef.tolist() == [coeffs[e] for e in sorted(coeffs)]
+    # an image path: collapsed steps add nothing; the first non-edge step is named
+    assert [x.tolist() for x in _curve_row(sp, [0, 1, 2, 1], np.array([0, 0, 1]))] == [[0], [0.1 + 0.1]]
+    with pytest.raises(KeyError) as err:
+        _curve_row(sp, [0, 1, 2, 1], np.array([0, 0, 2]))
+    assert err.value.args == ((0, 2),)

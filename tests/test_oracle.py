@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_map, reference_family_oracle
+from conftest import edge_index_reference, random_map, reference_family_oracle
 from qrgraph.covering import VertexMap
 from qrgraph.generators import gen_grid, gen_polar_grid, gen_winding
 from qrgraph.modulus import (
@@ -97,7 +97,8 @@ def test_oracle_equals_reference_where_lengths_vanish(short, long):
     for rho in (np.zeros(4), np.ones(4), np.array([1.0, 0.0, 2.0, 0.0])):
         assert _same_call(new(rho), ref(rho))
     _value, (idx, _coef) = new(np.zeros(4))
-    assert list(idx) == [space.edge_index[(0, 1)], space.edge_index[(1, 3)]]
+    edge_index = edge_index_reference(space)
+    assert list(idx) == [edge_index[(0, 1)], edge_index[(1, 3)]]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

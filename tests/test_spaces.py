@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_space
+from conftest import edge_index_reference, random_connected_space
 from qrgraph import spaces
 from qrgraph.certificates import Certificate
 from qrgraph.embedding import embed
-from qrgraph.generators import gen_cycle_cover, gen_polar_grid, gen_winding
+from qrgraph.generators import gen_cycle, gen_cycle_cover, gen_polar_grid, gen_winding
 from qrgraph.measures import jacobians, pullback_measure
 from qrgraph.modulus import CurveFamily, modulus
 from qrgraph.pullback import pullback_metric_bracket
@@ -478,10 +478,44 @@ def test_edge_table_is_not_a_constructor_parameter(derived):
 @pytest.mark.parametrize("name", list(EDGE_TABLE_SPACES))
 def test_edge_ids_agree_with_edge_index(name):
     space = EDGE_TABLE_SPACES[name]
-    pairs = list(space.edge_index)  # every adjacent pair, in both orders
+    edge_index = edge_index_reference(space)
+    pairs = list(edge_index)  # every adjacent pair, in both orders
     a, b = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    assert spaces._edge_ids(space, a, b).tolist() == [space.edge_index[p] for p in pairs]
+    assert spaces._edge_ids(space, a, b).tolist() == [edge_index[p] for p in pairs]
     others = [(i, j) for i in range(space.n) for j in range(space.n)
-              if (i, j) not in space.edge_index]
+              if (i, j) not in edge_index]
     a, b = np.array(others, dtype=np.intp).reshape(-1, 2).T
     assert spaces._edge_ids(space, a, b).tolist() == [-1] * len(others)
+
+
+@pytest.mark.parametrize("vertices, index", [((0, 7), 7), ((0, -1), -1), ((7,), 7)])
+def test_curve_vertex_outside_the_space_is_named_before_any_edge_lookup(vertices, index):
+    # (0, 7) has the key 0 * 5 + 7 of the edge (1, 2); -1 would wrap to c0004
+    with pytest.raises(ValidationError, match=rf"^curve vertex index {index} not in range\(5\)$"):
+        Curve(gen_cycle(5), vertices)
+
+
+def test_curve_step_that_is_no_edge_is_named():
+    with pytest.raises(ValidationError, match=r"not adjacent: \(c0002,c0002\)"):
+        Curve(gen_cycle(5), (1, 2, 2))
+    assert Curve(gen_cycle(5), (0, 4, 3)).edge_indices() == [1, 4]
+
+
+@pytest.mark.parametrize("edges", [((1, 0, 1.0),), ((0, 0, 1.0),),
+                                   ((0, 2, 1.0), (0, 1, 1.0)),
+                                   ((0, 1, 1.0), (0, 1, 2.0)),
+                                   ((0, 3, 1.0),), ((-1, 0, 1.0),)])
+def test_direct_space_needs_ascending_edges_with_i_below_j(edges):
+    # _edge_ids and the adjacency rows read the edges in ascending key order
+    with pytest.raises(ValidationError, match="strictly ascending"):
+        Space(ids=("a", "b", "c"), mass=np.ones(3), edges=edges, _dist=None)
+
+
+@pytest.mark.parametrize("name", list(EDGE_TABLE_SPACES))
+def test_adjacency_rows_list_neighbours_in_ascending_order(name):
+    space = EDGE_TABLE_SPACES[name]
+    rows: list[list[tuple[int, int]]] = [[] for _ in space.ids]
+    for e, (i, j, _ln) in enumerate(space.edges):
+        rows[i].append((j, e))
+        rows[j].append((i, e))
+    assert space.adj == tuple(tuple(sorted(r)) for r in rows)
