@@ -7,9 +7,15 @@ profile uses the two-sided shell convention: L looks at {d <= r}, l at
 limsup/liminf as r -> 0 become max/min over candidate radii up to a cap
 (default: the normal radius at f(x)).  That radius and the level rows belong
 to the fibre over f(x), so a whole-map run reads each fibre once.
+
+Every radius comes off one sorted scan per centre: the shells grow with r, so
+over the row sorted by d a prefix max gives L and a suffix min gives l at every
+radius.  LQ reads the image f(B(x, r)) through each target vertex's nearest
+preimage, and v bounds U(x, f, s) iff level(v) < s - TOL <= a neighbour's level.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -18,7 +24,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _boundary, _check_cap, _fibre_radius, _u_levels
+from .covering import VertexMap, _check_cap, _fibre_radius, _u_levels
 from .pullback import _worst_distortion, enumerate_paths
 from .spaces import Space, _diameters, _idx, _path_lengths, ball_closed
 
@@ -49,9 +55,12 @@ class DilatationProfile:
     flags: tuple[str, ...] = ()
 
 
-def _profile(vertex: str, rows: list, cap: float, flags: list[str]) -> DilatationProfile:
+def _profile(vertex: str, cap: float, flags: list[str], *cols: np.ndarray) -> DilatationProfile:
+    """Rows (r, L, l, L / l) from the columns r, L, l; H is infinite where l = 0."""
+    rows = tuple((r, a, b, a / b if b > 0 else math.inf)
+                 for r, a, b in zip(*(c.tolist() for c in cols)))
     hs = [h for _r, _L, _l, h in rows]
-    return DilatationProfile(vertex=vertex, rows=tuple(rows), h_sup=max(hs) if hs else math.inf,
+    return DilatationProfile(vertex=vertex, rows=rows, h_sup=max(hs) if hs else math.inf,
                              h_inf=min(hs) if hs else math.inf, cap=float(cap),
                              flags=tuple(flags))
 
@@ -102,6 +111,7 @@ def _local_profiles(vm: VertexMap, xs: Iterable[int], cap: float | None,
             level.update(zip(fib, fib_level))
     else:
         level.update(zip(xs, _u_levels(vm, xs)))
+    tail, head = np.concatenate([src._ends, src._ends[:, ::-1]]).T  # each edge from each end
     out = []
     for x in xs:
         nr, rec = radius.get(int(vm.f[x]), (cap, {}))  # no radius: never "nonlocal"
@@ -111,22 +121,32 @@ def _local_profiles(vm: VertexMap, xs: Iterable[int], cap: float | None,
             x_cap, flags = cap, ["nonlocal"] if cap > nr + TOL else []
         row = level[x]
         if inverse:
-            rows = []
-            for s in (s for s in vm.target.ball_radii(int(vm.f[x])) if le(s, x_cap)):
-                boundary = _boundary(src, frozenset(np.flatnonzero(row < s - TOL).tolist()))
-                if not boundary:
-                    flags.append(f"empty boundary at s={s}")
-                    continue
-                dists = [float(src.dist[x, v]) for v in boundary]
-                big_l, small_l = max(dists), min(dists)
-                rows.append((float(s), big_l, small_l, big_l / small_l if small_l > 0 else math.inf))
-            out.append(_profile(src.ids[x], rows, x_cap, flags))
+            near_top = np.full(src.n, -math.inf)  # the highest level among v's neighbours
+            np.maximum.at(near_top, tail, row[head])
+            radii = np.array([s for s in vm.target.ball_radii(int(vm.f[x])) if le(s, x_cap)])
+            lo = radii[:, None] - TOL
+            bd = (row < lo) & (near_top >= lo)  # (s, v): v on the boundary of U(x, f, s)
+            big = np.where(bd, src.dist[x], -math.inf).max(axis=1)
+            small = np.where(bd, src.dist[x], math.inf).min(axis=1)
+            some = bd.any(axis=1)
+            flags += [f"empty boundary at s={s}" for s in radii[~some].tolist()]
+            out.append(_profile(src.ids[x], x_cap, flags, radii[some], big[some], small[some]))
         elif row[x] < x_cap - TOL:
             inside = np.flatnonzero(row < x_cap - TOL)
             out.append(_shell_profile(vm, x, inside[inside != x], x_cap, flags))
         else:  # x outside its own ball
-            out.append(_profile(src.ids[x], [], x_cap, flags + ["empty neighbourhood"]))
+            out.append(_profile(src.ids[x], x_cap, flags + ["empty neighbourhood"]))
     return out
+
+
+def _sorted_scan(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys sorted, pre[k] the max of vals over the k smallest keys (-inf at
+    k = 0) and suf[k] the min over all but them (inf at k = len)."""
+    order = np.argsort(keys, kind="stable")
+    v = vals[order]
+    pre = np.concatenate([[-math.inf], np.maximum.accumulate(v)])
+    suf = np.concatenate([np.minimum.accumulate(v[::-1])[::-1], [math.inf]])
+    return keys[order], pre, suf
 
 
 def _shell_profile(vm: VertexMap, xi: int, others: np.ndarray, cap: float,
@@ -134,18 +154,12 @@ def _shell_profile(vm: VertexMap, xi: int, others: np.ndarray, cap: float,
     """H over the shells of xi among the sorted vertices ``others``."""
     src = vm.source
     if others.size == 0:
-        return _profile(src.ids[xi], [], cap, flags + ["empty shell"])
-    drow = src.dist[xi, others]
-    irow = vm.target.dist[int(vm.f[xi]), vm.f[others]]
-    rows = []
-    for r in (float(v) for v in np.unique(drow)):
-        near = drow <= r + TOL
-        far = drow >= r - TOL
-        big_l = float(irow[near].max())
-        small_l = float(irow[far].min())
-        h = big_l / small_l if small_l > 0 else math.inf
-        rows.append((r, big_l, small_l, float(h)))
-    return _profile(src.ids[xi], rows, cap, flags)
+        return _profile(src.ids[xi], cap, flags + ["empty shell"])
+    d, pre, suf = _sorted_scan(src.dist[xi, others], vm.target.dist[int(vm.f[xi]), vm.f[others]])
+    radii = np.unique(d)
+    big = pre[np.searchsorted(d, radii + TOL, "right")]  # over {d <= r + TOL}
+    small = suf[np.searchsorted(d, radii - TOL)]  # over {d >= r - TOL}
+    return _profile(src.ids[xi], cap, flags, radii, big, small)
 
 
 def lipschitz_field(vm: VertexMap) -> dict[str, tuple[float, float]]:
@@ -205,24 +219,19 @@ def lq_verify(vm: VertexMap, bound: float | None = None) -> Certificate:
     worst = 1.0
     witness = None
     for x in range(src.n):
-        fx = int(vm.f[x])
-        drow = src.dist[x]
-        trow = tgt.dist[fx]
-        for r in (float(v) for v in np.unique(drow) if v > TOL):
-            img_mask = np.zeros(tgt.n, dtype=bool)
-            img_mask[vm.f[drow <= r + TOL]] = True
-            need_up = float(trow[img_mask].max()) / r
-            if img_mask.all():
-                need_lo = 1.0
-            else:
-                # the open rho-ball fits inside the image iff rho <= rho_star,
-                # the distance to the nearest vertex outside the image
-                rho_star = float(trow[~img_mask].min())
-                need_lo = r / rho_star if rho_star > 0 else math.inf
-            cand = max(need_up, need_lo)
-            if cand > worst:
-                worst = cand
-                witness = (src.ids[x], r)
+        near = np.full(tgt.n, math.inf)  # each target vertex's nearest preimage
+        np.minimum.at(near, vm.f, src.dist[x])
+        keys, pre, suf = _sorted_scan(near, tgt.dist[int(vm.f[x])])
+        radii = np.unique(src.dist[x])
+        radii = radii[radii > TOL]
+        k = np.searchsorted(keys, radii + TOL, "right")  # f(B(x, r)): the k nearest
+        # the open rho-ball fits inside the image iff rho <= rho_star = suf[k],
+        # the distance to the nearest vertex outside it (inf: a full image asks nothing)
+        with np.errstate(divide="ignore"):
+            cand = np.maximum(pre[k] / radii, radii / suf[k])
+        if cand.size and cand.max() > worst:
+            j = int(cand.argmax())
+            worst, witness = float(cand[j]), (src.ids[x], float(radii[j]))
     return Certificate("lq", _passed(worst, bound), constant=worst, witness=witness,
                        details={"bound": bound})
 
@@ -237,13 +246,8 @@ class BqsGauge:
     seed: int
 
     def __call__(self, t: float) -> float:
-        out = 0.0
-        for s, v in zip(self.support, self.values):
-            if s <= t + TOL:
-                out = v
-            else:
-                break
-        return out
+        k = 0 if math.isnan(t) else bisect.bisect_right(self.support, t + TOL)
+        return self.values[k - 1] if k else 0.0
 
     def pairs(self) -> list[tuple[float, float]]:
         return list(zip(self.support, self.values))

@@ -423,8 +423,9 @@ def _solve_program(
         sigs.add(sig)
         # a row on unloaded edges starts at its one-row optimum
         try:
-            lam0 = 0.0 if s[idx].any() else float((c * _rho_of(m[idx], p, c)).sum()) ** (1.0 - p)
-        except (OverflowError, ZeroDivisionError):  # the power leaves the float range
+            with np.errstate(over="raise"):  # rho or the power leaves the float range
+                lam0 = 0.0 if s[idx].any() else float((c * _rho_of(m[idx], p, c)).sum()) ** (1.0 - p)
+        except (FloatingPointError, OverflowError, ZeroDivisionError):
             raise ValidationError([f"p = {p} overflows the one-row start of a curve"]) from None
         rows = np.concatenate([rows, np.full(idx.size, lam.size)])
         cols = np.concatenate([cols, idx])

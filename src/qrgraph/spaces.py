@@ -207,8 +207,9 @@ class Space:
                     break
         if not self._connected():
             findings.append("disconnected")
-        if self.mass.sum() <= 0:
-            findings.append("total mass not positive")
+        total = self.total_mass()
+        if not 0 < total < math.inf:
+            findings.append("total mass not positive" if total <= 0 else "total mass not finite")
         return findings
 
     # -- basic accessors ----------------------------------------------------
@@ -232,7 +233,8 @@ class Space:
         return float(self.mass[self.i(vid)])
 
     def total_mass(self) -> float:
-        return float(self.mass.sum())
+        with np.errstate(over="ignore"):  # masses near 1e308 sum to inf
+            return float(self.mass.sum())
 
     def ball_radii(self, center: int) -> list[float]:
         """Sweep radii realizing every nontrivial closed ball around ``center``.

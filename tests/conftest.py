@@ -459,6 +459,43 @@ def boundary_rows_reference(vm: VertexMap, x: int, radii) -> list:
     return rows
 
 
+def shell_rows_reference(vm: VertexMap, x: int, others) -> list:
+    """(r, L, l, H) per distinct distance r from x to the vertices ``others``,
+    with L over the shell {d <= r} and l over {d >= r}: the per-radius loop
+    ``dilatation._shell_profile`` ran before its sorted scan."""
+    drow = vm.source.dist[x, others]
+    irow = vm.target.dist[int(vm.f[x]), vm.f[others]]
+    rows = []
+    for r in (float(v) for v in np.unique(drow)):
+        big_l = float(irow[drow <= r + TOL].max())
+        small_l = float(irow[drow >= r - TOL].min())
+        rows.append((r, big_l, small_l, big_l / small_l if small_l > 0 else math.inf))
+    return rows
+
+
+def lq_reference(vm: VertexMap) -> tuple[float, tuple[str, float] | None]:
+    """The Lipschitz-quotient constant and its witness (x, r) by one image
+    mask per centre and radius: the loop ``dilatation.lq_verify`` ran before
+    its sorted scan."""
+    src, tgt = vm.source, vm.target
+    worst, witness = 1.0, None
+    for x in range(src.n):
+        drow, trow = src.dist[x], tgt.dist[int(vm.f[x])]
+        for r in (float(v) for v in np.unique(drow) if v > TOL):
+            img = np.zeros(tgt.n, dtype=bool)
+            img[vm.f[drow <= r + TOL]] = True
+            need_up = float(trow[img].max()) / r
+            if img.all():
+                need_lo = 1.0
+            else:
+                rho_star = float(trow[~img].min())
+                need_lo = r / rho_star if rho_star > 0 else math.inf
+            cand = max(need_up, need_lo)
+            if cand > worst:
+                worst, witness = cand, (src.ids[x], r)
+    return worst, witness
+
+
 def essential_rows_reference(vm: VertexMap, x: int, nu: np.ndarray, radii) -> list:
     """(r, f*nu(U) / nu(B)) per radius, from reference components."""
     rows = []

@@ -111,6 +111,30 @@ def _write_map(tmp_path, space: dict, pairs: list) -> str:
     return path
 
 
+def test_total_mass_that_overflows_is_validation_error_in_one_line(tmp_path, capsys):
+    heavy = dict(_PAIR, vertices=[{"id": "a", "mass": 1e308}, {"id": "b", "mass": 1e308}])
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(heavy))
+    assert run(["validate", path, "--out", tmp_path / "v"]) == 2
+    assert capsys.readouterr().err == "invalid: total mass not finite\n"
+
+
+def test_measure_with_a_target_mass_near_the_float_max_passes(winding_dir, tmp_path):
+    # r000s000 has two preimages, so both sides of the change of variables
+    # overflow to inf; that is equality, and no RuntimeWarning is raised
+    target = json.loads((winding_dir / "target.json").read_text())
+    for v in target["vertices"]:
+        if v["id"] == "r000s000":
+            v["mass"] = 1e308
+    (tmp_path / "target.json").write_text(json.dumps(target))
+    obj = json.loads((winding_dir / "map.json").read_text())
+    obj["source"], obj["target"] = str(winding_dir / obj["source"]), "target.json"
+    (tmp_path / "map.json").write_text(json.dumps(obj))
+    assert run(["measure", "--map", tmp_path / "map.json", "--out", tmp_path / "o"]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["results"]["total_pullback_mass"] == "inf"
+
+
 def test_map_assigning_a_source_vertex_twice_is_validation_error(tmp_path, capsys):
     path = _write_map(tmp_path, _PAIR, [["a", "a"], ["a", "b"], ["b", "a"]])
     assert run(["validate", path, "--out", tmp_path / "v"]) == 2
@@ -469,7 +493,8 @@ def test_float_option_at_the_edge_of_the_float_range_ends_in_an_exit_code(
     (["gen", "--kind", "polar_grid", "--r1=inf"], 64),  # was a page of findings, exit 2
     (["gen", "--kind", "polar_grid", "--r0", 0, "--r1=1e-320"], 64),
     (["modulus", "--space", "<dir>/target.json", "--family", "<dir>/family.json", "--p=1e5"], 2),
-], ids=["r0-nan", "r1-inf", "disk-r1-1e-320", "p-1e5"])
+    (["modulus", "--space", "<dir>/target.json", "--family", "<dir>/family.json", "--p=1.001"], 2),
+], ids=["r0-nan", "r1-inf", "disk-r1-1e-320", "p-1e5", "p-1.001"])
 def test_float_option_out_of_range_is_refused_in_one_line(winding_dir, tmp_path, capsys, argv, code):
     argv = [str(a).replace("<dir>", str(winding_dir)) for a in argv]
     assert run([*argv, "--out", tmp_path / "o"]) == code

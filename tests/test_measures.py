@@ -83,6 +83,35 @@ class TestChangeOfVariables:
             assert change_of_variables_check(vm, rho, nu).passed
 
 
+def _heavy_winding() -> tuple[VertexMap, int]:
+    """gen_winding(2, 4, 8) with mass 1e308 on a target vertex of two preimages."""
+    vm = gen_winding(2, levels=4, sectors=8)
+    y = int(np.flatnonzero(np.bincount(vm.f) == 2)[0])
+    mass = vm.target.mass.copy()
+    mass[y] = 1e308
+    return VertexMap(source=vm.source, target=_with_metric(vm.target, "path", mass), f=vm.f.copy()), y
+
+
+def test_sides_that_overflow_to_inf_are_equal():
+    vm, _y = _heavy_winding()
+    cert = change_of_variables_check(vm, np.ones(vm.source.n))
+    assert cert.details == {"lhs": math.inf, "rhs": math.inf}
+    assert cert.passed and cert.constant == 0.0
+    area = area_inequality_check(vm, np.ones(vm.source.n))
+    assert area.details["rhs"] == math.inf and area.details["equality"]
+    assert pullback_measure(vm).total() == math.inf
+
+
+def test_jacobian_that_overflows_reads_inf_unlisted():
+    vm, y = _heavy_winding()
+    mu = np.full(vm.source.n, 0.5)
+    mu[0] = 0.0
+    jf = jacobians(vm, mu=mu)
+    over = np.flatnonzero(vm.f == y)
+    assert np.all(jf.jac[over] == math.inf) and np.all(jf.jac_inv[over] == 0.5 / 1e308)
+    assert jf.infinite == frozenset({vm.source.ids[0]})
+
+
 class TestJacobians:
     def test_identity_unit(self):
         vm = identity_map(gen_cycle(5))

@@ -94,6 +94,12 @@ class TestPathMetric:
         assert exc.value.findings == ("non-finite vertex mass at a",
                                       "non-finite vertex mass at c")
 
+    def test_total_mass_that_overflows_rejected(self):
+        # each mass is finite, their sum is not; no RuntimeWarning on the way
+        with pytest.raises(ValidationError) as exc:
+            Space.build([("a", 1e308), ("b", 1e308)], [("a", "b", 1.0)], "path")
+        assert exc.value.findings == ("total mass not finite",)
+
     def test_exactly_symmetric_on_winding_source(self):
         # both directions of a pair hold the same float, not two sums that
         # differ in the last bit
