@@ -129,19 +129,29 @@ def max_multiplicity(vm: VertexMap) -> int:
     return int(np.bincount(vm.f, minlength=vm.target.n).max(initial=0))
 
 
+def _fibre_sweeps(vm: VertexMap, xs: Sequence[int]):
+    """One threshold sweep per image z of the centres ``xs``, in order of
+    first appearance: yields the positions ks in ``xs`` of the centres over
+    z, their level rows and the sweep's spanning forest.  The forest path
+    from a centre to any vertex is a minimax path, so its level is the row's
+    entry there."""
+    groups: dict[int, list[int]] = {}
+    for k, x in enumerate(xs):
+        groups.setdefault(int(vm.f[x]), []).append(k)
+    dY = vm.target.dist
+    jobs = ((dY[z, vm.f], [xs[k] for k in ks], range(vm.source.n)) for z, ks in groups.items())
+    for (z, ks), (vals, forest) in zip(groups.items(), _threshold_sweeps(vm.source, jobs)):
+        vals[np.arange(len(ks)), [xs[k] for k in ks]] = dY[z, z]
+        yield ks, vals, forest
+
+
 def _u_levels(vm: VertexMap, xs: Sequence[int]) -> np.ndarray:
     """Row k: the level of every source vertex for the centre xs[k], so that
     v lies in U(xs[k], f, r) iff row[v] < r - TOL.  The rows of the centres
     over one image come from one threshold sweep."""
     xs = [int(x) for x in xs]
-    groups: dict[int, list[int]] = {}
-    for k, x in enumerate(xs):
-        groups.setdefault(int(vm.f[x]), []).append(k)
-    dY = vm.target.dist
-    jobs = ((dY[z][vm.f], [xs[k] for k in ks], range(vm.source.n)) for z, ks in groups.items())
     level = np.empty((len(xs), vm.source.n))
-    for (z, ks), (vals, _forest) in zip(groups.items(), _threshold_sweeps(vm.source, jobs)):
-        vals[np.arange(len(ks)), [xs[k] for k in ks]] = dY[z, z]
+    for ks, vals, _forest in _fibre_sweeps(vm, xs):
         level[ks] = vals
     return level
 

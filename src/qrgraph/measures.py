@@ -3,6 +3,7 @@ Condition N / N^-1.  Exact on finite spaces: the pullback measure assigns
 each source vertex the target mass of its image."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -39,7 +40,8 @@ class PullbackMeasure:
 
     def of(self, members) -> float:
         idx = [_idx(self.vm.source, v) for v in members]
-        return float(self.values[idx].sum()) if idx else 0.0
+        with np.errstate(over="ignore"):  # masses near 1e308 sum to inf
+            return float(self.values[idx].sum()) if idx else 0.0
 
     def total(self) -> float:
         with np.errstate(over="ignore"):  # masses near 1e308 sum to inf
@@ -110,17 +112,20 @@ def area_inequality_check(
     nu: Mapping[str, float] | np.ndarray | None = None,
 ) -> Certificate:
     """sum_x rho J_f mu <= sum_y [sum_{x in f^-1(y)} rho(x)] nu(y), with
-    equality (for every rho) exactly when Condition N holds; both sides
-    compare within a relative 1e-12."""
+    equality (for every rho) exactly when Condition N holds; finite sides
+    compare within a relative 1e-12, and an infinite side only equals itself.
+    The sum runs over mu > 0, where J_f = f*nu / mu may overflow to inf; such
+    a term counts as inf unless rho vanishes there."""
     mu_arr = _vertex_array(vm.source, mu)
     nu_arr = _vertex_array(vm.target, nu)
     rho_arr = _vertex_array(vm.source, rho)
     jf = jacobians(vm, mu_arr, nu_arr)
     with np.errstate(over="ignore", invalid="ignore"):  # terms near 1e308 sum to inf
-        lhs_terms = np.where(mu_arr > 0, rho_arr * np.where(np.isfinite(jf.jac), jf.jac, 0.0) * mu_arr, 0.0)
+        lhs_terms = np.where((mu_arr > 0) & (rho_arr != 0), rho_arr * jf.jac * mu_arr, 0.0)
         lhs = float(lhs_terms.sum())
         rhs = float((np.bincount(vm.f, rho_arr, vm.target.n) * nu_arr).sum())
-    slack = 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+    scale = max(abs(lhs), abs(rhs), 1.0)
+    slack = 1e-12 * scale if math.isfinite(scale) else 0.0
     holds = lhs <= rhs + slack
     cond_n = condition_N_check(vm, mu_arr, nu_arr)
     equal = lhs == rhs or abs(lhs - rhs) <= slack  # inf - inf is nan

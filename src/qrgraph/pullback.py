@@ -1,19 +1,57 @@
 """Pullback metric, certified bracket, and the canonical factorization.
 
-The pullback distance between two source vertices is the smallest image
-diameter of a connected subgraph containing both.  The bracket computes a
-minimax-threshold lower bound d with the guarantee d <= exact <= 2d; the
-exact solver resolves the value by an ascending threshold-decision search
-inside that window.
+The pullback distance f*d_Y(x, y) between two source vertices is the
+smallest image diameter of a connected subgraph containing both.  The
+bracket computes a minimax-threshold lower bound with the guarantee
+lower <= exact <= 2 lower; the exact solver resolves the value by an
+ascending threshold-decision search inside that window.
 
-The lower bound of a pair (i, j) is the minimax, over source paths, of
-max(d_Y(f(v), f(i)), d_Y(f(v), f(j))).  That key depends on the pair only
-through its target pair (f(i), f(j)), so one Kruskal threshold sweep per
-unordered pair of occupied target vertices (a, b) settles every pair of
-fiber(a) x fiber(b).  The sweep's spanning forest also gives each pair a
-minimax path, whose image diameter is the exact solver's upper witness.
+The lower bound of a pair (x, y) over (a, b) = (f(x), f(y)) is the minimax,
+over source paths from x to y, of k_ab(v) = max(d_Y(f v, a), d_Y(f v, b)).
+It depends on the pair only through its target pair, and the bracket finds
+it in three steps.
 
-The exact solver settles every pair the sweep already decides in one array
+1. Screen, one threshold sweep per fibre.  The Kruskal sweep of the key
+   d_Y(f ., a) from the fibre over a gives the level row of each x in it:
+   level_x(y), the minimax of d_Y(f v, a) over paths from x to y, whose
+   sublevel sets are the normal neighbourhoods U(x, f, r).  Let
+   L'(x, y) = max(level_x(y), level_y(x)).  Then L' <= lower <= f*d_Y <= 2 L':
+   - k_ab >= d_Y(f ., a) along every path, so lower >= level_x(y), and
+     likewise lower >= level_y(x).  Max and min round nothing, so
+     L' <= lower holds bitwise.
+   - A connected set holding x and y with image diameter δ holds a path
+     from x to y whose image lies within δ of a and of b, so lower <= δ.
+   - The minimax path for level_x(y) has its image in the closed ball of
+     radius level_x(y) about a, so f*d_Y(x, y) <= 2 level_x(y) by the
+     triangle inequality; the same holds from y.
+2. Certificate, from the same forests.  The sweep's spanning forest joins x
+   to every y by a minimax path for d_Y(f ., a).  Walking it from x,
+   R[v] = max(R[parent v], d_Y(f v, .)) holds the largest d_Y(f u, .) over
+   the path's vertices u, so C(x, y) = max(level_x(y), R[y, b]) is the k_ab
+   cost of a real path and lower <= C(x, y).  As level_x(y) <= L'(x, y),
+   C(x, y) = L'(x, y) exactly when R[y, b] <= L'(x, y); where that holds
+   from x or from y, lower(x, y) = L'(x, y) bitwise.  The same walk
+   fills D[v] = max(D[parent v], R[v, f v]), the path's image diameter: an
+   upper bound on f*d_Y and the exact solver's witness, taken as
+   min(D(x, y), D(y, x)) on certified entries where lower is the one target
+   distance within TOL of itself.  A witness within TOL of lower settles
+   the exact value at itself, so where two distances lie that close, two
+   witnesses could settle at different values: there the pair sweep's
+   witness alone decides, as it always did.
+3. Pair sweeps, only where needed.  Each target pair (a, b) that still holds
+   an uncertified entry, or for the exact solver an entry without a
+   settling witness, gets one threshold sweep of k_ab over
+   fiber(a) x fiber(b).  Its values replace the screen there, and its forest
+   paths give a second witness; the smaller one is kept.
+
+TOL convention: lower and L' are exact minimax values, so the screen and the
+certificate compare them bitwise.  The factor 2 rests on the triangle
+inequality, which a computed path metric and a validated explicit metric
+satisfy within TOL: f*d_Y <= 2 L' + TOL.  An explicit metric may also be
+asymmetric within TOL; the fibre sweeps read d_Y(a, f v) and the pair
+sweeps d_Y(f v, a), so on such a target every pair is swept.
+
+The exact solver settles every pair the bracket already decides in one array
 step: lower <= TOL means distance zero, and a witness within TOL of lower
 means distance witness.  Only the remaining open pairs are searched.
 """
@@ -25,7 +63,7 @@ import numpy as np
 
 from ._tol import TOL
 from .certificates import Certificate
-from .covering import VertexMap, _u_levels
+from .covering import VertexMap, _fibre_sweeps, _u_levels
 from .spaces import (
     Space,
     ValidationError,
@@ -69,27 +107,126 @@ class PullbackBracket:
         self.upper.setflags(write=False)
 
 
+# the forest walks of one batch of centres hold at most this many path
+# maxima (entries of R), or those of a single centre if it needs more
+_WALK_BUDGET = 1 << 16
+
+
 def _target_pair_sweeps(vm: VertexMap, witness: bool):
-    """The bracket's lower matrix, by one threshold sweep per unordered pair
-    (a, b) of occupied target vertices, a == b included.  With ``witness``,
-    also the image diameter of each pair's path in the sweep's forest (a
-    minimax path, so an upper bound on the exact value); else None."""
+    """The bracket's lower matrix, from the fibre certificate and one
+    threshold sweep per unordered pair (a, b) of occupied target vertices
+    that it leaves open (see the module docstring).  With ``witness``, also
+    an upper bound on the exact value of each pair: the least image diameter
+    of the forest paths that count for it, inf where none does; else None."""
     n, f, dY = vm.source.n, vm.f, vm.target.dist
-    occupied = np.unique(f).tolist()
-    pairs = [(a, b) for k, a in enumerate(occupied) for b in occupied[k:]]
-    fiber = {a: np.nonzero(f == a)[0] for a in occupied}
+    if vm.target.is_path_metric or np.array_equal(dY, dY.T):  # a path metric is symmetric
+        lower, open_, achieved = _fibre_certificate(vm, witness)
+    else:
+        # an explicit d_Y may be asymmetric within TOL; the fibre sweeps key
+        # d_Y(a, f v) and the pair sweeps d_Y(f v, a), so every pair is swept
+        lower, open_ = np.zeros((n, n)), np.ones((n, n), dtype=bool)
+        achieved = np.full((n, n), np.inf) if witness else None
+    a, b = f[np.array(np.nonzero(open_))]  # open_ is symmetric: keep the order a <= b
+    pairs = sorted(set(zip(a[a <= b].tolist(), b[a <= b].tolist())))
+    fiber = {a: np.nonzero(f == a)[0] for a in {a for pair in pairs for a in pair}}
     jobs = ((np.maximum(dY[f, a], dY[f, b]), fiber[a], fiber[b]) for a, b in pairs)
-    lower = np.zeros((n, n))
-    achieved = np.zeros((n, n)) if witness else None
     for (a, b), (vals, forest) in zip(pairs, _threshold_sweeps(vm.source, jobs)):
         fa, fb = fiber[a], fiber[b]
-        mats = [(lower, vals)]
+        lower[fa[:, None], fb] = vals
+        lower[fb[:, None], fa] = vals.T
         if witness:
-            mats.append((achieved, _forest_path_diameters(vm, forest, fa, fb)))
-        for mat, v in mats:
-            mat[fa[:, None], fb] = v
-            mat[fb[:, None], fa] = v.T
+            v = np.minimum(achieved[fa[:, None], fb], _forest_path_diameters(vm, forest, fa, fb))
+            achieved[fa[:, None], fb] = v
+            achieved[fb[:, None], fa] = v.T
     return lower, achieved
+
+
+def _fibre_certificate(vm: VertexMap, witness: bool):
+    """From one threshold sweep per fibre on a symmetric d_Y: the screen L'
+    with a zero diagonal, the mask of the entries it leaves open (uncertified
+    or, with ``witness``, not settled by their witness), and the witnesses
+    min(D(x, y), D(y, x)) where they count, inf elsewhere, or None.  Each
+    centre x's row of R[y, f y], the largest d_Y(f v, f y) over the forest
+    path from x to y, certifies."""
+    n, f = vm.source.n, vm.f
+    rows = vm.target.dist[f]  # d_Y(f v, .) for every source vertex v
+    level, far = np.empty((n, n)), np.empty((n, n))
+    diam = np.empty((n, n)) if witness else None
+    per_batch = max(1, _WALK_BUDGET // rows.size)
+    batch: list[tuple[int, list[list[int]]]] = []
+
+    def flush():
+        xs = [x for x, _nbrs in batch]
+        far[xs], d = _walk(rows, f, batch, witness)
+        if witness:
+            diam[xs] = d
+        batch.clear()
+
+    for xs, vals, forest in _fibre_sweeps(vm, range(n)):
+        level[xs] = vals
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in forest:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for x in xs:
+            batch.append((x, nbrs))
+            if len(batch) == per_batch:
+                flush()
+    if batch:
+        flush()
+    screen = np.maximum(level, level.T)
+    open_ = np.minimum(far, far.T) > screen
+    achieved = None
+    if witness:
+        # D counts where lower is certified and is the one target distance
+        # within TOL of itself (see the module docstring)
+        dvals = np.unique(vm.target.dist)
+        alone = (np.searchsorted(dvals, screen + TOL, side="right")
+                 - np.searchsorted(dvals, screen - TOL, side="left")) == 1
+        achieved = np.where(alone & ~open_, np.minimum(diam, diam.T), np.inf)
+        open_ |= (screen > TOL) & (achieved > screen + TOL)
+    np.fill_diagonal(screen, 0.0)
+    return screen, open_, achieved
+
+
+def _walk(rows: np.ndarray, f: np.ndarray, batch: list[tuple[int, list[list[int]]]], witness: bool):
+    """The walks from the centres x of ``batch``, each along its forest given
+    by adjacency lists: R[v] = max(R[parent v], rows[v]) and
+    D[v] = max(D[parent v], R[v, f v]), one numpy step per depth for all
+    centres at once.  Returns the rows of R[y, f y] and of D, or None."""
+    n, m = len(f), len(batch)
+    # breadth first from every centre at once: entry p is vertex node[p] % n
+    # of the walk from centre node[p] // n, and up[p] the entry of its parent
+    node = [k * n + x for k, (x, _nbrs) in enumerate(batch)]
+    up = list(range(m))
+    seen = [False] * (m * n)
+    for i in node:
+        seen[i] = True
+    cuts = [0, m]
+    while cuts[-1] > cuts[-2]:
+        for p in range(cuts[-2], cuts[-1]):
+            k, v = divmod(node[p], n)
+            for w in batch[k][1][v]:
+                if not seen[k * n + w]:
+                    seen[k * n + w] = True
+                    node.append(k * n + w)
+                    up.append(p)
+        cuts.append(len(node))
+    node_a, up_a = np.array(node), np.array(up)
+    v = node_a % n
+    R = rows[v]
+    for lo, hi in zip(cuts[1:], cuts[2:]):
+        np.maximum(R[lo:hi], R[up_a[lo:hi]], out=R[lo:hi])
+    img = R[np.arange(m * n), f[v]]
+    far = np.empty(m * n)
+    far[node_a] = img
+    if not witness:
+        return far.reshape(m, n), None
+    for lo, hi in zip(cuts[1:], cuts[2:]):
+        np.maximum(img[lo:hi], img[up_a[lo:hi]], out=img[lo:hi])
+    diam = np.empty(m * n)
+    diam[node_a] = img
+    return far.reshape(m, n), diam.reshape(m, n)
 
 
 def _forest_path_diameters(vm: VertexMap, forest: list[tuple[int, int]],

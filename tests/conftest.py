@@ -17,8 +17,13 @@ from qrgraph.generators import (
     gen_winding,
     identity_map,
 )
-from qrgraph.pullback import _reachable_within, _target_pair_sweeps, enumerate_paths
-from qrgraph.spaces import Space
+from qrgraph.pullback import (
+    _forest_path_diameters,
+    _reachable_within,
+    _target_pair_sweeps,
+    enumerate_paths,
+)
+from qrgraph.spaces import Space, _threshold_sweeps
 
 
 def edge_index_reference(space: Space) -> dict[tuple[int, int], int]:
@@ -188,6 +193,30 @@ def bracket_lower_reference(vm: VertexMap) -> np.ndarray:
             key = np.maximum(dY[vm.f, int(vm.f[i])], dY[vm.f, int(vm.f[j])])
             lower[i, j] = lower[j, i] = minimax_path_reference(vm.source, key, i, j)
     return lower
+
+
+def pair_sweep_reference(vm: VertexMap, witness: bool):
+    """The bracket's lower matrix, by one threshold sweep per unordered pair
+    (a, b) of occupied target vertices, a == b included.  With ``witness``,
+    also the image diameter of each pair's path in the sweep's forest (a
+    minimax path, so an upper bound on the exact value); else None.  The
+    all-pairs loop the library used before it swept once per fibre."""
+    n, f, dY = vm.source.n, vm.f, vm.target.dist
+    occupied = np.unique(f).tolist()
+    pairs = [(a, b) for k, a in enumerate(occupied) for b in occupied[k:]]
+    fiber = {a: np.nonzero(f == a)[0] for a in occupied}
+    jobs = ((np.maximum(dY[f, a], dY[f, b]), fiber[a], fiber[b]) for a, b in pairs)
+    lower = np.zeros((n, n))
+    achieved = np.zeros((n, n)) if witness else None
+    for (a, b), (vals, forest) in zip(pairs, _threshold_sweeps(vm.source, jobs)):
+        fa, fb = fiber[a], fiber[b]
+        mats = [(lower, vals)]
+        if witness:
+            mats.append((achieved, _forest_path_diameters(vm, forest, fa, fb)))
+        for mat, v in mats:
+            mat[fa[:, None], fb] = v
+            mat[fb[:, None], fa] = v.T
+    return lower, achieved
 
 
 def exact_reference(vm: VertexMap) -> np.ndarray:

@@ -112,6 +112,33 @@ def test_jacobian_that_overflows_reads_inf_unlisted():
     assert jf.infinite == frozenset({vm.source.ids[0]})
 
 
+def test_area_inequality_counts_a_jacobian_that_overflows_as_inf():
+    vm, y = _heavy_winding()
+    area = area_inequality_check(vm, np.ones(vm.source.n))
+    assert area.details["lhs"] == math.inf and area.details["rhs"] == math.inf
+    assert area.passed and area.details["equality"]
+    rho = np.ones(vm.source.n)
+    rho[vm.f == y] = 0.0  # a vanishing rho keeps the overflowing terms out
+    area = area_inequality_check(vm, rho)
+    assert math.isfinite(area.details["lhs"]) and math.isfinite(area.details["rhs"])
+    assert area.passed and area.details["equality"]
+
+
+def test_area_inequality_infinite_side_only_equals_itself():
+    vm, y = _heavy_winding()
+    mu = vm.source.mass.copy()
+    mu[vm.f == y] = 0.0  # Condition N fails under the heavy target vertex
+    area = area_inequality_check(vm, np.ones(vm.source.n), mu=mu)
+    assert math.isfinite(area.details["lhs"]) and area.details["rhs"] == math.inf
+    assert area.passed and not area.details["equality"] and not area.details["condition_N"]
+
+
+def test_pullback_measure_of_a_set_that_overflows_is_inf():
+    vm, y = _heavy_winding()
+    heavy = [vm.source.ids[k] for k in np.flatnonzero(vm.f == y)]
+    assert pullback_measure(vm).of(heavy) == math.inf
+
+
 class TestJacobians:
     def test_identity_unit(self):
         vm = identity_map(gen_cycle(5))
