@@ -13,7 +13,7 @@ from qrgraph.modulus import loewner_profile, minimal_upper_gradient
 # annulus [1, e] at s sectors and s + 1 rings, refined: the relative error to
 # 2 pi / log(e) falls with s
 print(f"annulus Mod_2, 2 pi / log(e) = {2 * math.pi:.5f}")
-for s in (32, 64, 128):
+for s in (32, 64, 128, 256):
     ann = gen_polar_grid(s + 1, s, 1.0, math.e)
     fam = CurveFamily.connecting(
         ann,

@@ -13,9 +13,10 @@ the restricted program.  An explicit family is scanned.  For a connecting
 family the curve is canonical, least in (rho-cost, geometric length, rank of
 the vertex id), so the result does not depend on the order of the vertex
 records.  Two compiled Dijkstra passes (scipy.sparse.csgraph) find it: one
-for the rho-cost d, one for the geometric length on the arcs where d is
-tight with zero tolerance; a walk back over the curve's own vertices breaks
-the remaining ties.
+for the rho-cost d, one for the geometric length ln on the arcs where d is
+tight with zero tolerance; each vertex's predecessor, least in (d, ln, rank)
+among the in-neighbours on which both labels are tight, breaks the remaining
+ties.
 
 One inner solver serves every p: it maximizes the restricted Lagrangian dual
 sum(lam) - (p-1) sum(m rho(lam)^p) over lam >= 0, where rho(lam) is the exact
@@ -30,10 +31,52 @@ the L-BFGS-B iterations.  The optimiser's tolerances are not the
 certificate: results report a rigorous duality gap, since the returned
 density is admissible (scaled), its energy is an upper bound, and the dual
 value a lower bound on the true modulus.
+
+One row per round is the basic algorithm of Albin, Brunner, Perez,
+Poggi-Corradini and Wiens (Conform. Geom. Dyn. 2015).  A round whose curve
+costs 0 and lies on edges without load also takes, from the same oracle
+call, the rows that the next calls would return one by one, as far as that
+is proved (``more`` of the connecting-family oracle):
+
+- Batch rule.  Walk the F vertices t with d = 0 after the returned one, in
+  (ln, rank) order, each with its curve in the predecessor forest.  Admit
+  t's row if it is nonempty, shares no edge with a row of the program or an
+  admitted row, and the guard holds.  Stop at the first t the guard
+  refuses, at a row with an edge of measure 0 or whose one-row start
+  overflows, at ``max_iter - iterations`` rows, and wherever a length
+  vanishes in a float sum.  Every row starts at its one-row optimum and the
+  batch runs one stopping test; if it passes, the round counts one unit per
+  row, else the extra rows go and the first row runs alone.
+- Guard.  Every F vertex t' passed before t, kept or skipped, has
+  (lb(t'), rank t') > (ln(t), rank t).  Along t''s tree path lb = 0 on E and
+  lb(v) = min(alt(v), lb(pred v) + len), the second term dropped where the
+  image edge of the tree arc is loaded, that is, has a positive cost at the
+  one-row density of its admitted row; alt(v) is the least ln(u) + len over
+  v's zero-cost in-arcs other than its tree arc.
+- Proof that one row per round adds the same rows, bitwise.  (1) fl(a + c)
+  is monotone in a and in c, so the labels, least left folds over paths,
+  never fall as costs rise; loading rows only raises costs, so the
+  zero-cost arcs only shrink, d never falls, and ln never falls where d
+  stays 0.  By induction along the tree path, lb(v) <= ln(v) at every
+  later call where d(v) = 0: another zero-cost in-arc gives at least
+  alt(v), and the tree arc, unless loaded, at least lb(pred v) + len.
+  (2) An admitted path shares no edge with a loaded row, so its arcs keep
+  cost 0 and its vertices their labels; each in-neighbour tight at a later
+  call was tight before with a key no smaller, so every vertex on it keeps
+  its predecessor.  (3) Hence the call after the rows before t finds t at
+  key (0, ln(t), rank t), every F vertex after t at a key no smaller than
+  its old one, every F vertex with d > 0 still there, and, by the guard,
+  every F vertex before t above t; where a length vanishes at that call,
+  t and the vertices of its path enter their labels from a smaller one and
+  pop before every vertex of their label with a higher rank, the only
+  others there.  (4) The rows share no edge with each other or the
+  program, so each row's slack reads its own lam only: every prefix of a
+  batch that passes the test passes it, with the same s, rho and lam.
 """
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -181,25 +224,23 @@ def _curve_row(space: Space, verts: Sequence[int], f: np.ndarray | None = None) 
 
 def _walk_back(targets: np.ndarray, d: np.ndarray, ln: np.ndarray, rank: np.ndarray,
                arc_u: np.ndarray, arc_w: np.ndarray, indptr: np.ndarray,
-               arc_cost: np.ndarray, arc_len: np.ndarray) -> list[int] | None:
+               arc_cost: np.ndarray, arc_len: np.ndarray) -> list[int]:
     """The curve, from its end back to E, that a heap search from E keyed by
-    (d, ln, rank) returns, read off its final labels d and ln; None if no
-    target is reached.  The search reaches every vertex with a finite
-    label, also one whose cost overflows to d = inf.  Row w of the arcs
-    (sorted by u, with ``indptr``) holds w's out-arcs, whose reverses, of
-    equal cost and length, are its in-arcs.
+    (d, ln, rank) returns, read off its final labels d and ln, where a length
+    vanishes in a float sum, ln + len == ln, as every length does once ln has
+    overflowed to inf.  Some target is reached.  Row w of the arcs (sorted by
+    u, with ``indptr``) holds w's out-arcs, whose reverses, of equal cost and
+    length, are its in-arcs.
 
     The search returns the first target it pops, and it sets the predecessor
     of a vertex w once, to the first vertex popped among the in-neighbours u
     on which both labels are tight, d[u] + c == d[w] and ln[u] + len == ln[w].
     Labels pop in increasing order, so an in-neighbour of a smaller label wins
-    over one of w's own label, and the vertices of one label pop in rank
-    order, unless a length vanishes in a float sum, ln + len == ln, as every
-    length does once ln has overflowed to inf.  Then a tight arc can join two
-    vertices of one label, and they pop as a search by rank that starts at
-    those with ln = 0 or a predecessor of smaller label and enters the others
-    along such arcs.  Each predecessor pops before its vertex, so the walk
-    ends.
+    over one of w's own label.  Where a length vanishes, a tight arc can join
+    two vertices of one label, and they pop as a search by rank that starts
+    at those with ln = 0 or a predecessor of smaller label and enters the
+    others along such arcs.  Each predecessor pops before its vertex, so the
+    walk ends.
     """
     def into(w: int) -> np.ndarray:
         nb = slice(indptr[w], indptr[w + 1])
@@ -234,21 +275,37 @@ def _walk_back(targets: np.ndarray, d: np.ndarray, ln: np.ndarray, rank: np.ndar
                         bisect.insort(front, (-rank[z], z))
         return turns[label][v]
 
-    lu = ln[arc_u]
-    flat = bool(np.any((lu + arc_len == lu) & (np.minimum(d[arc_u], lu) < math.inf)))
-
     def first(vs: np.ndarray) -> int:
         vs = vs[np.lexsort((rank[vs], ln[vs], d[vs]))]
-        if not flat:
-            return int(vs[0])
         return int(min(vs[(d[vs] == d[vs[0]]) & (ln[vs] == ln[vs[0]])], key=turn))
 
-    if np.all((d[targets] == math.inf) & (ln[targets] == math.inf)):
-        return None
     path = [first(targets)]
     while ln[path[-1]] != 0.0:  # a positive length keeps ln > 0 off E
         path.append(first(into(path[-1])))
     return path
+
+
+def _tree_arcs(d: np.ndarray, ln: np.ndarray, rank: np.ndarray, arc_u: np.ndarray,
+               arc_w: np.ndarray, tight: np.ndarray, arc_len: np.ndarray) -> np.ndarray | None:
+    """Each vertex's arc from its predecessor, the in-neighbour least in
+    (d, ln, rank) among those on which both labels are tight (d on the arcs
+    ``tight``), by one lexsort of those arcs; -1 where there is none.  None
+    where a length vanishes in a float sum, ln + len == ln at a vertex with
+    a finite label, since the heap search then pops some vertices of one
+    label out of rank order (``_walk_back``)."""
+    lu = ln[arc_u]
+    step = lu + arc_len
+    if np.any((step == lu) & (np.minimum(d[arc_u], lu) < math.inf)):
+        return None
+    k = np.flatnonzero(tight & (step == ln[arc_w]))
+    u, w = arc_u[k], arc_w[k]
+    k = k[np.lexsort((rank[u], ln[u], d[u], w))]
+    w = arc_w[k]
+    head = np.ones(k.size, dtype=bool)
+    head[1:] = w[1:] != w[:-1]
+    tree = np.full(d.size, -1)
+    tree[w[head]] = k[head]
+    return tree
 
 
 def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
@@ -268,12 +325,18 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
     float d[u] + c over the in-arcs of w, the very comparison the Dijkstra
     labels make, so equality marks exactly the arcs of cheapest curves; any
     slack would admit arcs of costlier curves and change the curve chosen.
-    The end vertex is the F vertex least in (d, ln, rank), and the walk back
-    steps to the in-neighbour least in (d, ln, rank) among those on which
-    both labels are tight; where a length vanishes in a float sum, the walk
-    takes the vertex the heap search would have popped first (``_walk_back``).
-    The value returned is d at the end vertex, the curve's own sequential
-    rho-length.
+    The end vertex is the F vertex least in (d, ln, rank), and each vertex
+    steps back to its predecessor, the in-neighbour least in (d, ln, rank)
+    among those on which both labels are tight.  One lexsort of those arcs
+    gives every vertex its predecessor.  Where a length vanishes in a float
+    sum, the walk takes the vertex the heap search would have popped first
+    (``_walk_back``).  The value returned is d at the end vertex, the curve's
+    own sequential rho-length.
+
+    The connecting-family oracle also has ``oracle.more(taken, limit,
+    density)``: the zero-cost rows that the calls after the last one would
+    return, one call per row, while the rows before each carry their load
+    (the batch rule of the module docstring).
     """
     src = family.space
     tgt, f = (src, np.arange(src.n)) if vm is None else (vm.target, vm.f)
@@ -282,6 +345,8 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
 
         def scan(rho: np.ndarray):
             vals = [float(rho[idx] @ coef) if idx.size else 0.0 for idx, coef in rows]
+            if not vals:
+                return math.inf, None
             k = int(np.argmin(vals))
             return vals[k], rows[k]
 
@@ -309,6 +374,7 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
     order = np.lexsort((arc_w, arc_u))
     arc_u, arc_w, arc_e = arc_u[order], arc_w[order], arc_e[order]
     arc_len = length[arc_e]
+    arc_img = pull_e[arc_e]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(arc_u, minlength=src.n))])
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -316,21 +382,113 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
     # explicit zeros stay arcs: the CSR is built from its parts and its data
     # only ever refilled, never pruned
     g = csr_matrix((np.zeros(arc_u.size), arc_w, indptr), shape=(src.n, src.n))
+    # (arc costs, d, ln, tree arcs, predecessors, curve, row) of the last
+    # call; None after a call where a length vanished or no curve was found
+    last = None
 
     def search(rho: np.ndarray):
-        cost = np.where(pull_e >= 0, rho[np.maximum(pull_e, 0)] * pull_len, 0.0)
-        arc_cost = cost[arc_e]
+        nonlocal last
+        last = None
+        arc_cost = np.where(pull_e >= 0, rho[np.maximum(pull_e, 0)] * pull_len, 0.0)[arc_e]
         g.data[:] = arc_cost
         d = dijkstra(g, indices=sources, min_only=True)
         tight = d[arc_u] + arc_cost == d[arc_w]
         g.data[:] = np.where(tight, arc_len, math.inf)
         ln = dijkstra(g, indices=sources, min_only=True)
-
-        path = _walk_back(targets, d, ln, rank, arc_u, arc_w, indptr, arc_cost, arc_len)
-        if path is None:
+        if np.all((d[targets] == math.inf) & (ln[targets] == math.inf)):
             return math.inf, None
-        return float(d[path[0]]), _curve_row(tgt, path[::-1], f)
+        tree = _tree_arcs(d, ln, rank, arc_u, arc_w, tight, arc_len)
+        if tree is None:
+            path = _walk_back(targets, d, ln, rank, arc_u, arc_w, indptr, arc_cost, arc_len)
+            return float(d[path[0]]), _curve_row(tgt, path[::-1], f)
+        up = arc_u[tree]
+        path = [int(targets[np.lexsort((rank[targets], ln[targets], d[targets]))[0]])]
+        while ln[path[-1]] != 0.0:  # a positive length keeps ln > 0 off E
+            path.append(int(up[path[-1]]))
+        row = _curve_row(tgt, path[::-1], f)
+        last = (arc_cost, d, ln, tree, up, path, row)
+        return float(d[path[0]]), row
 
+    def more(taken: np.ndarray, limit: int, density: Callable[[Row], np.ndarray | None]
+             ) -> list[Row]:
+        """At most ``limit`` rows after the one the last call returned, each
+        the row the next call would return once the rows before it carry
+        their load; empty if that call's curve costs > 0 or a length
+        vanished in it.  ``taken`` marks the target edges of the rows the
+        program holds, the returned one included; ``density(row)`` is a
+        row's one-row density on its edges, None where it cannot start.
+        """
+        nonlocal last
+        if last is None or limit <= 0:
+            return []
+        (arc_cost, d, ln, tree, up, path, row), last = last, None  # one batch per call
+        if d[path[0]] != 0.0:
+            return []
+        # the loaded image edges; the last slot is a collapsed arc's, never loaded
+        loaded = np.zeros(len(tgt.edges) + 1, dtype=bool)
+        used = taken.copy()
+
+        def load(row: Row) -> bool:
+            rho = density(row)
+            if rho is not None:
+                used[row[0]] = True
+                with np.errstate(over="ignore"):
+                    loaded[row[0]] = rho * tgt._lens[row[0]] > 0.0
+            return rho is not None
+
+        if not load(row):
+            return []
+        # the least ln[u] + len over w's zero-cost in-arcs but its tree arc
+        on_tree = np.zeros(arc_u.size, dtype=bool)
+        on_tree[tree[tree >= 0]] = True
+        k = np.flatnonzero((arc_cost == 0.0) & (d == 0.0)[arc_u] & ~on_tree)
+        alt = np.full(src.n, math.inf)
+        with np.errstate(over="ignore"):
+            np.minimum.at(alt, arc_w[k], ln[arc_u[k]] + arc_len[k])
+
+        def key(v: int) -> tuple[float, int]:
+            return float(ln[v]), int(rank[v])
+
+        def lower(v: int) -> float:
+            """lb(v): at most v's length label once the loaded edges carry load."""
+            suffix = []
+            while ln[v] != 0.0 and not loaded[arc_img[tree[v]]]:
+                suffix.append(v)
+                v = up[v]
+            lb = 0.0 if ln[v] == 0.0 else float(alt[v])
+            for w in reversed(suffix):
+                lb = min(float(alt[w]), lb + float(arc_len[tree[w]]))
+            return lb
+
+        passed = [(*key(path[0]), path[0])]  # (at most (lb, rank), vertex)
+
+        def guard(bound: tuple[float, int]) -> bool:
+            """Every passed vertex has (lb, rank) > bound."""
+            while passed[0][:2] <= bound:
+                v = passed[0][2]
+                fresh = (lower(v), int(rank[v]))
+                if fresh <= bound:
+                    return False
+                heapq.heapreplace(passed, (*fresh, v))
+            return True
+
+        cand = targets[d[targets] == 0.0]
+        rows: list[Row] = []
+        for t in cand[np.lexsort((rank[cand], ln[cand]))][1:].tolist():
+            if len(rows) == limit or not guard(key(t)):
+                break
+            heapq.heappush(passed, (*key(t), t))
+            curve = [t]
+            while ln[curve[-1]] != 0.0:
+                curve.append(int(up[curve[-1]]))
+            extra = _curve_row(tgt, curve[::-1], f)
+            if extra[0].size and not used[extra[0]].any():
+                if not load(extra):
+                    break
+                rows.append(extra)
+        return rows
+
+    search.more = more
     return search
 
 
@@ -354,7 +512,8 @@ def _restricted_dual(m, p, rows, cols, coef, lam, inner_tol, budget):
     One unit is the projected-gradient test at the given lam: every row
     with lam > 0 tight within ``inner_tol``, every other row satisfied
     within it.  Only if the test fails does L-BFGS-B run, for at most
-    ``budget`` iterations, each counted as one more unit."""
+    ``budget`` iterations, each counted as one more unit; with a budget of
+    0 a failed test returns None."""
     def at(x):
         return np.bincount(cols, weights=x[rows] * coef, minlength=m.size)
 
@@ -366,6 +525,8 @@ def _restricted_dual(m, p, rows, cols, coef, lam, inner_tol, budget):
     slack = 1.0 - a(rho)
     if np.where(lam > 0.0, np.abs(slack), slack).max() <= inner_tol:
         return s, rho, 1
+    if not budget:
+        return None
     from scipy.optimize import minimize
 
     def neg_dual(x):
@@ -408,6 +569,25 @@ def _solve_program(
     iterations = 0
     flags: list[str] = []
     inner_tol = max(min(tol, 1e-6) * 1e-2, 1e-10)
+    more = getattr(oracle, "more", None)
+
+    def start(idx: np.ndarray, c: np.ndarray) -> float:
+        """The one-row optimum of lam, for a row on edges without load."""
+        with np.errstate(over="raise"):  # rho or the power leaves the float range
+            return float((c * _rho_of(m[idx], p, c)).sum()) ** (1.0 - p)
+
+    def density(row: Row) -> np.ndarray | None:
+        """An extra row's density on its edges at its one-row optimum; None
+        if an edge has measure 0 or the start overflows."""
+        idx, c = row
+        if np.any(m[idx] <= 0):
+            return None
+        try:
+            with np.errstate(over="raise"):
+                return _rho_of(m[idx], p, start(idx, c) * c)
+        except (FloatingPointError, OverflowError, ZeroDivisionError):
+            return None
+
     while True:
         idx, c = row
         if idx.size == 0:
@@ -420,20 +600,32 @@ def _solve_program(
         if sig in sigs:
             flags.append("stalled")
             break
-        sigs.add(sig)
         # a row on unloaded edges starts at its one-row optimum
+        unloaded = not s[idx].any()
         try:
-            with np.errstate(over="raise"):  # rho or the power leaves the float range
-                lam0 = 0.0 if s[idx].any() else float((c * _rho_of(m[idx], p, c)).sum()) ** (1.0 - p)
+            batch = [(row, start(idx, c) if unloaded else 0.0)]
         except (FloatingPointError, OverflowError, ZeroDivisionError):
             raise ValidationError([f"p = {p} overflows the one-row start of a curve"]) from None
-        rows = np.concatenate([rows, np.full(idx.size, lam.size)])
-        cols = np.concatenate([cols, idx])
-        coef = np.concatenate([coef, c])
-        lam = np.append(lam, lam0)
+        if more is not None and val == 0.0 and unloaded:
+            taken = np.zeros(n_e, dtype=bool)
+            taken[cols] = taken[idx] = True
+            batch += [(r, start(*r)) for r in more(taken, max_iter - iterations - 1, density)]
         budget = max(1000, max_iter - iterations)
-        s, rho, used = _restricted_dual(m, p, rows, cols, coef, lam, inner_tol, budget)
-        iterations += used
+        while True:  # a batch that fails its one stopping test gives way to its first row
+            b_rows = np.concatenate([rows, *(np.full(r[0].size, lam.size + k)
+                                             for k, (r, _l0) in enumerate(batch))])
+            b_cols = np.concatenate([cols, *(r[0] for r, _l0 in batch)])
+            b_coef = np.concatenate([coef, *(r[1] for r, _l0 in batch)])
+            b_lam = np.append(lam, [l0 for _r, l0 in batch])
+            got = _restricted_dual(m, p, b_rows, b_cols, b_coef, b_lam, inner_tol,
+                                   budget if len(batch) == 1 else 0)
+            if got is not None:
+                break
+            del batch[1:]
+        rows, cols, coef, lam = b_rows, b_cols, b_coef, b_lam
+        s, rho, used = got
+        iterations += used + len(batch) - 1  # a passing test counts one unit per row
+        sigs.update(r[0].tobytes() + r[1].tobytes() for r, _l0 in batch)
         val, row = oracle(rho)
         if val >= 1.0 - tol:
             break

@@ -267,6 +267,17 @@ class TestSubcommands:
         assert report["results"]["value"] == pytest.approx(0.5)
         assert (out / "density.csv").exists()
 
+    @pytest.mark.parametrize("spec", [{"curves": []}, []])
+    def test_modulus_empty_family_is_zero(self, cover_dir, tmp_path, capsys, spec):
+        fam = tmp_path / "fam.json"
+        fam.write_text(json.dumps(spec))
+        out = tmp_path / "mod"
+        assert run(["modulus", "--space", cover_dir / "target.json",
+                    "--family", fam, "--out", out]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert (results["value"], results["flags"], results["exact"]) == (0.0, ["empty family"], False)
+
     def test_modulus_family_unknown_ids_exit_two(self, cover_dir, tmp_path, capsys):
         fam = tmp_path / "fam.json"
         fam.write_text(json.dumps({"curves": [["t0000", "t0001"], ["t0001", "t0002"]]}))
