@@ -700,6 +700,8 @@ def modulus_bruteforce(family: CurveFamily, p: float = 2.0, weight=None) -> floa
     if len(family.curves) > 50:
         raise ValueError("bruteforce oracle limited to 50 curves")
     rows = [_curve_row(space, c.vertices) for c in family.curves]
+    if not rows:
+        return 0.0                    # rho = 0 is admissible for no curve
     if any(idx.size == 0 for idx, _c in rows):
         return math.inf
     support = sorted({int(e) for idx, _c in rows for e in idx})

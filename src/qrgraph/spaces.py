@@ -28,6 +28,10 @@ the edges are (i, j) with i < j in strictly ascending keys i * n + j, the order
 ``Space.build`` sorts them in.  ``_edge_ids``, the one lookup from vertex pairs
 to edges, relies on it to search many pairs at once, and ``adj`` to list each
 vertex's neighbours in ascending order without a sort.
+
+``space_from_json`` and ``Space.build`` check whole columns: one type test per
+column, one array pass per check.  Only when a check fails is that list walked
+once, record by record, to word the first defect of each bad record.
 """
 from __future__ import annotations
 
@@ -36,7 +40,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -101,13 +106,14 @@ class Space:
     _lens: np.ndarray = field(init=False, repr=False)  # (m,) lengths of edges, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "index", {v: k for k, v in enumerate(self.ids)})
+        object.__setattr__(self, "index", dict(zip(self.ids, range(self.n))))
         table = np.fromiter(chain.from_iterable(self.edges), float, 3 * len(self.edges))
         table.setflags(write=False)  # and so its view _lens
         ends = table.reshape(-1, 3)[:, :2].astype(np.intp)
         ends.setflags(write=False)
         i, j = ends.T
-        if not (np.all((0 <= i) & (i < j) & (j < self.n)) and np.all(np.diff(i * self.n + j) > 0)):
+        key = i * self.n + j
+        if not (((0 <= i) & (i < j) & (j < self.n)).all() and (key[1:] > key[:-1]).all()):
             raise ValidationError(["edges must be (i, j, len), 0 <= i < j < n, strictly ascending"])
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_lens", table[2::3])
@@ -136,45 +142,53 @@ class Space:
         dist: np.ndarray | str = "path",
     ) -> "Space":
         """Build and validate a Space.  ``dist`` is "path" or an explicit matrix."""
-        vlist = list(vertices)
-        ids = tuple(v for v, _ in vlist)
-        index = {v: k for k, v in enumerate(ids)}
+        ids, mass = [*zip(*vertices, strict=True)] or [(), ()]
+        return cls._of_columns(ids, mass, *([*zip(*edges, strict=True)] or [()] * 3), dist)
+
+    @classmethod
+    def _of_columns(cls, ids, mass, us, vs, lens, dist: np.ndarray | str) -> "Space":
+        """``build`` on the columns of its records: one array pass per check; only
+        when an edge check fails are the edges walked, to word each one's defect."""
+        n, m = len(ids), len(us)
+        index = dict(zip(ids, range(n)))
         findings: list[str] = []
-        if len(set(ids)) != len(ids):
+        if len(index) != n:
             findings.append("duplicate vertex ids")
-        mass = np.array([float(m) for _, m in vlist], dtype=float)
-        finite = np.isfinite(mass)
-        findings.extend(f"non-finite vertex mass at {ids[k]}" for k in np.nonzero(~finite)[0])
-        if np.any(mass[finite] < 0):
-            findings.append("negative vertex mass")
-        elist: list[tuple[int, int, float]] = []
-        seen_pairs: set[tuple[int, int]] = set()
-        for u, v, ln in edges:
-            if u not in index or v not in index:
-                findings.append(f"edge endpoint unknown: ({u},{v})")
-                continue
-            i, j = index[u], index[v]
-            if i == j:
-                findings.append(f"self-loop at {u}")
-                continue
-            key = (min(i, j), max(i, j))
-            if key in seen_pairs:
-                findings.append(f"duplicate edge ({u},{v})")
-                continue
-            seen_pairs.add(key)
-            ln = float(ln)
-            if not math.isfinite(ln):
-                findings.append(f"non-finite edge length on ({u},{v})")
-                continue
-            if not ln > 0:
-                findings.append(f"nonpositive edge length on ({u},{v})")
-                continue
-            elist.append((key[0], key[1], ln))
+        mass = np.array(mass, dtype=float)
+        if not (mass.min(initial=0.0) >= 0 and mass.max(initial=0.0) < math.inf):
+            finite = np.isfinite(mass)
+            findings.extend(f"non-finite vertex mass at {ids[k]}" for k in np.flatnonzero(~finite))
+            if (mass[finite] < 0).any():
+                findings.append("negative vertex mass")
+        lens = np.array(lens, dtype=float)
+        a, b = np.fromiter(map(index.get, chain(us, vs), repeat(-1)), np.intp, 2 * m).reshape(2, m)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        key = lo * n + hi                 # below 0 where an end is unknown (-1)
+        order = key.argsort()             # the keys of valid edges are distinct
+        key = key[order]
+        if not ((lo < hi).all() and (not m or key[0] >= 0) and (key[1:] > key[:-1]).all()
+                and lens.min(initial=math.inf) > 0 and lens.max(initial=0.0) < math.inf):
+            seen_pairs: set[tuple[int, int]] = set()
+            for u, v, ln in zip(us, vs, lens.tolist()):
+                pair = tuple(sorted((index.get(u, -1), index.get(v, -1))))
+                if pair[0] < 0:
+                    findings.append(f"edge endpoint unknown: ({u},{v})")
+                elif pair[0] == pair[1]:
+                    findings.append(f"self-loop at {u}")
+                elif pair in seen_pairs:
+                    findings.append(f"duplicate edge ({u},{v})")
+                else:                     # a pair given before is a duplicate, whatever its length
+                    seen_pairs.add(pair)
+                    if not math.isfinite(ln):
+                        findings.append(f"non-finite edge length on ({u},{v})")
+                    elif not ln > 0:
+                        findings.append(f"nonpositive edge length on ({u},{v})")
         if findings:
             raise ValidationError(findings)
-        elist.sort()
         is_path = isinstance(dist, str) and dist == "path"
-        sp = cls(ids=ids, mass=mass, edges=tuple(elist),
+        # tuple() of a list: of an iterator it resizes, churning the per-size tuple free lists
+        sp = cls(ids=tuple(ids), mass=mass,
+                 edges=tuple([*zip(lo[order].tolist(), hi[order].tolist(), lens[order].tolist())]),
                  _dist=None if is_path else np.array(dist, dtype=float))
         findings = sp.validate()
         if findings:
@@ -252,10 +266,20 @@ class Space:
         return radii
 
     def _connected(self) -> bool:
-        if self.n == 0:
-            return False
-        comp = _components_idx(self, frozenset(range(self.n)))
-        return len(comp) == 1
+        """One component?  Each vertex holds a label, a vertex of its component: a round
+        hooks the larger label of each edge whose ends differ under the smaller, then
+        jumps every label to its own label until none moves."""
+        label = np.arange(self.n)
+        lo, hi = self._ends.T             # i < j: under the first labels every edge differs
+        while len(lo):
+            np.minimum.at(label, hi, lo)
+            while (label != (jump := label[label])).any():
+                label = jump
+            if not label.any():           # every vertex in vertex 0's component
+                return True
+            lo, hi = np.sort(label[self._ends], axis=1).T
+            lo, hi = lo[lo < hi], hi[lo < hi]
+        return self.n > 0 and not label.any()
 
     def subset(self, members: Iterable[str]) -> frozenset[int]:
         return frozenset(self.i(v) for v in members)
@@ -651,6 +675,16 @@ def _is_number(x) -> bool:
                                     and abs(x) <= sys.float_info.max)
 
 
+def _all_of(col: Sequence, kind: type) -> bool:
+    """Is every entry an instance of ``kind``?  One test per distinct type."""
+    return all(map(issubclass, set(map(type, col)), repeat(kind)))
+
+
+def _all_numbers(col: Sequence) -> bool:
+    """``_is_number`` of every entry; per entry only if some entry is not a float."""
+    return _all_of(col, float) or all(map(_is_number, col))
+
+
 def _read_json(path: str):
     """The JSON document in the file at ``path``; text that is not JSON is a
     ValidationError."""
@@ -676,12 +710,20 @@ def space_from_json(obj: dict) -> Space:
         raise ValidationError([f"missing fields: {sorted(missing)}"])
     findings: list[str] = []
 
-    def records(key: str, what: str, fields: tuple[str, ...]) -> list[tuple]:
-        """The records of ``obj[key]``: string fields, then one number."""
+    def records(key: str, what: str, fields: tuple[str, ...]) -> list:
+        """The columns of the records of ``obj[key]``: string fields, then one
+        number.  One type test per column; only when a test fails are the
+        records walked, to name the first defect of each bad one."""
         if not isinstance(obj[key], list):
             findings.append(f"{key} must be a list of {what} records")
             return []
-        out = []
+        if _all_of(obj[key], dict) and set(map(len, obj[key])) <= {len(fields)}:
+            try:
+                cols = [list(map(itemgetter(f), obj[key])) for f in fields]
+            except KeyError:              # a record without one of the fields
+                cols = None
+            if cols and _all_of(chain(*cols[:-1]), str) and _all_numbers(cols[-1]):
+                return cols
         for rec in obj[key]:
             if not (isinstance(rec, dict) and set(rec) == set(fields)):
                 findings.append(f"{what} record fields must be exactly {','.join(fields)}: {rec}")
@@ -689,9 +731,7 @@ def space_from_json(obj: dict) -> Space:
                 findings.append(f"{what} {','.join(fields[:-1])} must be strings: {rec}")
             elif not _is_number(rec[fields[-1]]):
                 findings.append(f"{what} {fields[-1]} must be a number: {rec}")
-            else:
-                out.append(tuple(rec[k] for k in fields))
-        return out
+        return []
 
     verts = records("vertices", "vertex", ("id", "mass"))
     edges = records("edges", "edge", ("u", "v", "len"))
@@ -699,15 +739,12 @@ def space_from_json(obj: dict) -> Space:
     if isinstance(dist, str):
         if dist != "path":
             findings.append(f'dist must be "path" or a matrix, got {dist!r}')
-    elif not (isinstance(dist, list)
-              and all(isinstance(row, list) and len(row) == len(dist)
-                      and all(_is_number(x) for x in row) for row in dist)):
+    elif not (isinstance(dist, list) and _all_of(dist, list)
+              and set(map(len, dist)) <= {len(dist)} and all(map(_all_numbers, dist))):
         findings.append('dist must be "path" or a square matrix of numbers')
     if findings:
         raise ValidationError(findings)
-    if isinstance(dist, str):
-        return Space.build(verts, edges, "path")
-    return Space.build(verts, edges, np.array(dist, dtype=float))
+    return Space._of_columns(*verts, *edges, dist)
 
 
 def load_space(path: str) -> Space:

@@ -23,7 +23,7 @@ from qrgraph.pullback import (
     _target_pair_sweeps,
     enumerate_paths,
 )
-from qrgraph.spaces import Space, _threshold_sweeps
+from qrgraph.spaces import Space, ValidationError, _components_idx, _is_number, _threshold_sweeps
 
 
 def edge_index_reference(space: Space) -> dict[tuple[int, int], int]:
@@ -33,6 +33,111 @@ def edge_index_reference(space: Space) -> dict[tuple[int, int], int]:
     for e, (i, j, _ln) in enumerate(space.edges):
         index[(i, j)] = index[(j, i)] = e
     return index
+
+
+class _SearchConnected(Space):
+    """A Space whose ``validate`` decides connectivity by the search from
+    vertex 0 that ``Space._connected`` ran before it read the edge table."""
+
+    def _connected(self) -> bool:
+        return self.n > 0 and len(_components_idx(self, frozenset(range(self.n)))) == 1
+
+
+def _build_reference(vertices, edges, dist) -> Space:
+    """``Space.build`` by one check per edge: the loop the library ran
+    before it checked the edges as arrays."""
+    vlist = list(vertices)
+    ids = tuple(v for v, _ in vlist)
+    index = {v: k for k, v in enumerate(ids)}
+    findings: list[str] = []
+    if len(set(ids)) != len(ids):
+        findings.append("duplicate vertex ids")
+    mass = np.array([float(m) for _, m in vlist], dtype=float)
+    finite = np.isfinite(mass)
+    findings.extend(f"non-finite vertex mass at {ids[k]}" for k in np.nonzero(~finite)[0])
+    if np.any(mass[finite] < 0):
+        findings.append("negative vertex mass")
+    elist: list[tuple[int, int, float]] = []
+    seen_pairs: set[tuple[int, int]] = set()
+    for u, v, ln in edges:
+        if u not in index or v not in index:
+            findings.append(f"edge endpoint unknown: ({u},{v})")
+            continue
+        i, j = index[u], index[v]
+        if i == j:
+            findings.append(f"self-loop at {u}")
+            continue
+        key = (min(i, j), max(i, j))
+        if key in seen_pairs:
+            findings.append(f"duplicate edge ({u},{v})")
+            continue
+        seen_pairs.add(key)
+        ln = float(ln)
+        if not math.isfinite(ln):
+            findings.append(f"non-finite edge length on ({u},{v})")
+            continue
+        if not ln > 0:
+            findings.append(f"nonpositive edge length on ({u},{v})")
+            continue
+        elist.append((key[0], key[1], ln))
+    if findings:
+        raise ValidationError(findings)
+    elist.sort()
+    is_path = isinstance(dist, str) and dist == "path"
+    sp = _SearchConnected(ids=ids, mass=mass, edges=tuple(elist),
+                          _dist=None if is_path else np.array(dist, dtype=float))
+    findings = sp.validate()
+    if findings:
+        raise ValidationError(findings)
+    return sp
+
+
+def space_from_json_reference(obj: dict) -> Space:
+    """``space_from_json`` by one check per record and per edge: the reader
+    the library used before it checked whole columns, kept as the reference
+    for its Space and its findings."""
+    fields = {"vertices", "edges", "dist"}
+    if not isinstance(obj, dict):
+        raise ValidationError(["space JSON must be an object"])
+    unknown = set(obj) - fields
+    if unknown:
+        raise ValidationError([f"unknown fields: {sorted(unknown)}"])
+    missing = fields - set(obj)
+    if missing:
+        raise ValidationError([f"missing fields: {sorted(missing)}"])
+    findings: list[str] = []
+
+    def records(key: str, what: str, fields: tuple[str, ...]) -> list[tuple]:
+        if not isinstance(obj[key], list):
+            findings.append(f"{key} must be a list of {what} records")
+            return []
+        out = []
+        for rec in obj[key]:
+            if not (isinstance(rec, dict) and set(rec) == set(fields)):
+                findings.append(f"{what} record fields must be exactly {','.join(fields)}: {rec}")
+            elif not all(isinstance(rec[k], str) for k in fields[:-1]):
+                findings.append(f"{what} {','.join(fields[:-1])} must be strings: {rec}")
+            elif not _is_number(rec[fields[-1]]):
+                findings.append(f"{what} {fields[-1]} must be a number: {rec}")
+            else:
+                out.append(tuple(rec[k] for k in fields))
+        return out
+
+    verts = records("vertices", "vertex", ("id", "mass"))
+    edges = records("edges", "edge", ("u", "v", "len"))
+    dist = obj["dist"]
+    if isinstance(dist, str):
+        if dist != "path":
+            findings.append(f'dist must be "path" or a matrix, got {dist!r}')
+    elif not (isinstance(dist, list)
+              and all(isinstance(row, list) and len(row) == len(dist)
+                      and all(_is_number(x) for x in row) for row in dist)):
+        findings.append('dist must be "path" or a square matrix of numbers')
+    if findings:
+        raise ValidationError(findings)
+    if isinstance(dist, str):
+        return _build_reference(verts, edges, "path")
+    return _build_reference(verts, edges, np.array(dist, dtype=float))
 
 
 def random_connected_space(rng: np.random.Generator, n: int, extra_edges: int = 2,

@@ -79,6 +79,11 @@ class TestSolverBasics:
         res = modulus(fam)
         assert res.value == 0.0 and "empty family" in res.flags
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_empty_explicit_family_solver_and_oracle_agree(self, p):
+        fam = CurveFamily.explicit(gen_grid(2, 2), [])
+        assert modulus(fam, p=p).value == modulus_bruteforce(fam, p=p) == 0.0
+
     @pytest.mark.parametrize("p", [math.nan, math.inf, 1.0, 0.5])
     def test_exponent_outside_one_to_infinity_raises(self, p):
         sp = Space.build([(v, 1.0) for v in "ab"], [("a", "b", 1.0)], "path")
