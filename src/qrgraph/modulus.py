@@ -14,9 +14,12 @@ family the curve is canonical, least in (rho-cost, geometric length, rank of
 the vertex id), so the result does not depend on the order of the vertex
 records.  Two compiled Dijkstra passes (scipy.sparse.csgraph) find it: one
 for the rho-cost d, one for the geometric length ln on the arcs where d is
-tight with zero tolerance; each vertex's predecessor, least in (d, ln, rank)
+tight with zero tolerance; each vertex's predecessor, least in (d, ln, key)
 among the in-neighbours on which both labels are tight, breaks the remaining
-ties.
+ties.  The pop key is the rank, but where a length vanishes in a float sum,
+an arc can join two vertices of one label, and inside such a label the key
+is the order in which a heap search keyed by (d, ln, rank) pops it; the
+tree is then that search's tree, and ``more`` adds no batch after the call.
 
 One inner solver serves every p: it maximizes the restricted Lagrangian dual
 sum(lam) - (p-1) sum(m rho(lam)^p) over lam >= 0, where rho(lam) is the exact
@@ -75,7 +78,6 @@ is proved (``more`` of the connecting-family oracle):
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -222,90 +224,58 @@ def _curve_row(space: Space, verts: Sequence[int], f: np.ndarray | None = None) 
     return idx, np.bincount(at, weights=space._lens[e])
 
 
-def _walk_back(targets: np.ndarray, d: np.ndarray, ln: np.ndarray, rank: np.ndarray,
-               arc_u: np.ndarray, arc_w: np.ndarray, indptr: np.ndarray,
-               arc_cost: np.ndarray, arc_len: np.ndarray) -> list[int]:
-    """The curve, from its end back to E, that a heap search from E keyed by
-    (d, ln, rank) returns, read off its final labels d and ln, where a length
-    vanishes in a float sum, ln + len == ln, as every length does once ln has
-    overflowed to inf.  Some target is reached.  Row w of the arcs (sorted by
-    u, with ``indptr``) holds w's out-arcs, whose reverses, of equal cost and
-    length, are its in-arcs.
-
-    The search returns the first target it pops, and it sets the predecessor
-    of a vertex w once, to the first vertex popped among the in-neighbours u
-    on which both labels are tight, d[u] + c == d[w] and ln[u] + len == ln[w].
-    Labels pop in increasing order, so an in-neighbour of a smaller label wins
-    over one of w's own label.  Where a length vanishes, a tight arc can join
-    two vertices of one label, and they pop as a search by rank that starts
-    at those with ln = 0 or a predecessor of smaller label and enters the
-    others along such arcs.  Each predecessor pops before its vertex, so the
-    walk ends.
-    """
-    def into(w: int) -> np.ndarray:
-        nb = slice(indptr[w], indptr[w + 1])
-        u = arc_w[nb]
-        return u[(d[u] + arc_cost[nb] == d[w]) & (ln[u] + arc_len[nb] == ln[w])]
-
-    def entry(v: int) -> bool:
-        """v is a source, or has a tight in-neighbour of a smaller label."""
-        u = into(v)
-        return ln[v] == 0.0 or bool(((d[u] != d[v]) | (ln[u] != ln[v])).any())
-
-    turns: dict[tuple[float, float], dict[int, int]] = {}
-
-    def turn(v: int) -> int:
-        """v's place in the pop order of the vertices of its label."""
-        label = (d[v], ln[v])
-        if label not in turns:
-            order = turns[label] = {}
-            members = np.flatnonzero((d == label[0]) & (ln == label[1]))
-            front = sorted((-rank[m], m) for m in members if entry(m))
-            seen = {m for _r, m in front}
-            while front:
-                x = front.pop()[1]
-                order[x] = len(order)
-                nb = slice(indptr[x], indptr[x + 1])
-                y = arc_w[nb]
-                hop = ((d[y] == label[0]) & (ln[y] == label[1])
-                       & (label[0] + arc_cost[nb] == label[0]) & (label[1] + arc_len[nb] == label[1]))
-                for z in y[hop]:
-                    if z not in seen:
-                        seen.add(z)
-                        bisect.insort(front, (-rank[z], z))
-        return turns[label][v]
-
-    def first(vs: np.ndarray) -> int:
-        vs = vs[np.lexsort((rank[vs], ln[vs], d[vs]))]
-        return int(min(vs[(d[vs] == d[vs[0]]) & (ln[vs] == ln[vs[0]])], key=turn))
-
-    path = [first(targets)]
-    while ln[path[-1]] != 0.0:  # a positive length keeps ln > 0 off E
-        path.append(first(into(path[-1])))
-    return path
-
-
 def _tree_arcs(d: np.ndarray, ln: np.ndarray, rank: np.ndarray, arc_u: np.ndarray,
-               arc_w: np.ndarray, tight: np.ndarray, arc_len: np.ndarray) -> np.ndarray | None:
-    """Each vertex's arc from its predecessor, the in-neighbour least in
-    (d, ln, rank) among those on which both labels are tight (d on the arcs
-    ``tight``), by one lexsort of those arcs; -1 where there is none.  None
-    where a length vanishes in a float sum, ln + len == ln at a vertex with
-    a finite label, since the heap search then pops some vertices of one
-    label out of rank order (``_walk_back``)."""
+               arc_w: np.ndarray, tight: np.ndarray, arc_len: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The tree of a heap search from E keyed by (d, ln, rank), read off its
+    final labels d and ln: each vertex's arc from its predecessor, -1 where
+    there is none; each vertex's pop key; and whether a length vanishes in a
+    float sum, ln + len == ln at a vertex with a finite label, as every
+    length does once ln has overflowed to inf.
+
+    The search pops labels in increasing order and sets the predecessor of a
+    vertex w once, to the first vertex popped among the in-neighbours u on
+    which both labels are tight (d on the arcs ``tight``).  Inside a label it
+    pops by rank, unless a tight arc joins two vertices of that label, which
+    takes a vanishing length: then the label pops as a search by rank that
+    starts at those with ln = 0 or a tight in-neighbour of a smaller label
+    and enters the others along such arcs.  The pop key is a vertex's place
+    in that order, else its rank, so one lexsort of the tight arcs by
+    (d, ln, key) of their tails gives every predecessor, and each
+    predecessor pops before its vertex."""
     lu = ln[arc_u]
     step = lu + arc_len
-    if np.any((step == lu) & (np.minimum(d[arc_u], lu) < math.inf)):
-        return None
+    vanished = bool(np.any((step == lu) & (np.minimum(d[arc_u], lu) < math.inf)))
     k = np.flatnonzero(tight & (step == ln[arc_w]))
     u, w = arc_u[k], arc_w[k]
-    k = k[np.lexsort((rank[u], ln[u], d[u], w))]
+    key = rank
+    if vanished:
+        key = rank.copy()
+        join = (d[u] == d[w]) & (ln[u] == ln[w]) & (np.minimum(d[u], ln[u]) < math.inf)
+        entry = ln == 0.0
+        entry[w[~join]] = True
+        hops: dict[int, list[int]] = {}
+        for x, z in zip(u[join].tolist(), w[join].tolist()):
+            hops.setdefault(x, []).append(z)
+        turn = itertools.count()  # increasing inside each label, which is all a key compares
+        for label_d, label_ln in set(zip(d[u[join]].tolist(), ln[u[join]].tolist())):
+            seen = set(np.flatnonzero((d == label_d) & (ln == label_ln) & entry).tolist())
+            front = [(rank[x], x) for x in seen]
+            heapq.heapify(front)
+            while front:
+                x = heapq.heappop(front)[1]
+                key[x] = next(turn)
+                for z in hops.get(x, ()):
+                    if z not in seen:
+                        seen.add(z)
+                        heapq.heappush(front, (rank[z], z))
+    k = k[np.lexsort((key[u], ln[u], d[u], w))]
     w = arc_w[k]
     head = np.ones(k.size, dtype=bool)
     head[1:] = w[1:] != w[:-1]
     tree = np.full(d.size, -1)
     tree[w[head]] = k[head]
-    return tree
+    return tree, key, vanished
 
 
 def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
@@ -325,18 +295,19 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
     float d[u] + c over the in-arcs of w, the very comparison the Dijkstra
     labels make, so equality marks exactly the arcs of cheapest curves; any
     slack would admit arcs of costlier curves and change the curve chosen.
-    The end vertex is the F vertex least in (d, ln, rank), and each vertex
-    steps back to its predecessor, the in-neighbour least in (d, ln, rank)
-    among those on which both labels are tight.  One lexsort of those arcs
-    gives every vertex its predecessor.  Where a length vanishes in a float
-    sum, the walk takes the vertex the heap search would have popped first
-    (``_walk_back``).  The value returned is d at the end vertex, the curve's
-    own sequential rho-length.
+    The end vertex is the F vertex least in (d, ln, key), and each vertex
+    steps back to its predecessor, the in-neighbour least in (d, ln, key)
+    among those on which both labels are tight; one lexsort of those arcs
+    gives every vertex its predecessor (``_tree_arcs``).  The pop key is the
+    rank, except inside a label that an arc of vanishing length joins, where
+    it is the order in which the heap search pops that label.  The value
+    returned is d at the end vertex, the curve's own sequential rho-length.
 
     The connecting-family oracle also has ``oracle.more(taken, limit,
     density)``: the zero-cost rows that the calls after the last one would
     return, one call per row, while the rows before each carry their load
-    (the batch rule of the module docstring).
+    (the batch rule of the module docstring); it is empty after a call where
+    a length vanished.
     """
     src = family.space
     tgt, f = (src, np.arange(src.n)) if vm is None else (vm.target, vm.f)
@@ -362,8 +333,7 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
     rank = np.argsort(np.argsort(np.array(src.ids)))
     sources = sorted(e_set & carrier)
     targets = np.array(sorted(f_set & carrier), dtype=int)
-    # both arcs of every edge inside the carrier, sorted by (u, w): row w of
-    # the CSR lists the in-arcs of w as well, since the arcs come in pairs
+    # both arcs of every edge inside the carrier, sorted by (u, w) as the CSR rows
     ends, length = src._ends, src._lens
     inside = np.zeros(src.n, dtype=bool)
     inside[np.fromiter(carrier, dtype=int)] = True
@@ -397,16 +367,14 @@ def _family_oracle(family: CurveFamily, vm: VertexMap | None = None
         ln = dijkstra(g, indices=sources, min_only=True)
         if np.all((d[targets] == math.inf) & (ln[targets] == math.inf)):
             return math.inf, None
-        tree = _tree_arcs(d, ln, rank, arc_u, arc_w, tight, arc_len)
-        if tree is None:
-            path = _walk_back(targets, d, ln, rank, arc_u, arc_w, indptr, arc_cost, arc_len)
-            return float(d[path[0]]), _curve_row(tgt, path[::-1], f)
+        tree, key, vanished = _tree_arcs(d, ln, rank, arc_u, arc_w, tight, arc_len)
         up = arc_u[tree]
-        path = [int(targets[np.lexsort((rank[targets], ln[targets], d[targets]))[0]])]
+        path = [int(targets[np.lexsort((key[targets], ln[targets], d[targets]))[0]])]
         while ln[path[-1]] != 0.0:  # a positive length keeps ln > 0 off E
             path.append(int(up[path[-1]]))
         row = _curve_row(tgt, path[::-1], f)
-        last = (arc_cost, d, ln, tree, up, path, row)
+        if not vanished:
+            last = (arc_cost, d, ln, tree, up, path, row)
         return float(d[path[0]]), row
 
     def more(taken: np.ndarray, limit: int, density: Callable[[Row], np.ndarray | None]

@@ -41,8 +41,12 @@ it in three steps.
 3. Pair sweeps, only where needed.  Each target pair (a, b) that still holds
    an uncertified entry, or for the exact solver an entry without a
    settling witness, gets one threshold sweep of k_ab over
-   fiber(a) x fiber(b).  Its values replace the screen there, and its forest
-   paths give a second witness; the smaller one is kept.
+   fiber(a) x fiber(b).  Its values replace the screen there.  Its forest,
+   stripped of the leaves outside fiber(a) and fiber(b), gives a second
+   witness by the walk that fills D, on the rows max(d_Y(f v, .),
+   d_Y(., f v)): read both ways, like a diameter, so that it is each forest
+   path's image diameter bitwise even on an asymmetric explicit target.
+   The smaller witness is kept.
 
 TOL convention: lower and L' are exact minimax values, so the screen and the
 certificate compare them bitwise.  The factor 2 rests on the triangle
@@ -130,15 +134,53 @@ def _target_pair_sweeps(vm: VertexMap, witness: bool):
     pairs = sorted(set(zip(a[a <= b].tolist(), b[a <= b].tolist())))
     fiber = {a: np.nonzero(f == a)[0] for a in {a for pair in pairs for a in pair}}
     jobs = ((np.maximum(dY[f, a], dY[f, b]), fiber[a], fiber[b]) for a, b in pairs)
+    rows = np.maximum(dY, dY.T)[f]  # read both ways, as a diameter does
+    per_batch = max(1, _WALK_BUDGET // rows.size)
+    batch: list[tuple[int, list[list[int]]]] = []
+    placed: list[tuple[np.ndarray, np.ndarray, int]] = []  # (fa, fb, first centre in batch)
+
+    def flush():
+        _far, diam = _walk(rows, f, batch, True)
+        for fa, fb, k in placed:
+            v = np.minimum(achieved[fa[:, None], fb], diam[k:k + len(fa), fb])
+            achieved[fa[:, None], fb] = v
+            achieved[fb[:, None], fa] = v.T
+        batch.clear()
+        placed.clear()
+
     for (a, b), (vals, forest) in zip(pairs, _threshold_sweeps(vm.source, jobs)):
         fa, fb = fiber[a], fiber[b]
         lower[fa[:, None], fb] = vals
         lower[fb[:, None], fa] = vals.T
         if witness:
-            v = np.minimum(achieved[fa[:, None], fb], _forest_path_diameters(vm, forest, fa, fb))
-            achieved[fa[:, None], fb] = v
-            achieved[fb[:, None], fa] = v.T
+            placed.append((fa, fb, len(batch)))
+            nbrs = _stripped(forest, {*fa.tolist(), *fb.tolist()}, n)
+            batch.extend((x, nbrs) for x in fa.tolist())
+            if len(batch) >= per_batch:
+                flush()
+    if batch:
+        flush()
     return lower, achieved
+
+
+def _stripped(forest: list[tuple[int, int]], keep: set[int], n: int) -> list[list[int]]:
+    """Adjacency lists of ``forest`` on range(n) after its leaves outside
+    ``keep`` are stripped, again and again: what is left of a tree that
+    holds ``keep`` is the union of the tree paths between its members."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in forest:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    leaves = [v for v in range(n) if len(nbrs[v]) == 1 and v not in keep]
+    while leaves:
+        v = leaves.pop()
+        if nbrs[v]:  # the last two vertices of a tree outside keep strip each other
+            (w,) = nbrs[v]
+            nbrs[v].clear()
+            nbrs[w].discard(v)
+            if len(nbrs[w]) == 1 and w not in keep:
+                leaves.append(w)
+    return [list(nb) for nb in nbrs]
 
 
 def _fibre_certificate(vm: VertexMap, witness: bool):
@@ -193,73 +235,39 @@ def _walk(rows: np.ndarray, f: np.ndarray, batch: list[tuple[int, list[list[int]
     """The walks from the centres x of ``batch``, each along its forest given
     by adjacency lists: R[v] = max(R[parent v], rows[v]) and
     D[v] = max(D[parent v], R[v, f v]), one numpy step per depth for all
-    centres at once.  Returns the rows of R[y, f y] and of D, or None."""
+    centres at once.  Returns the rows of R[y, f y] and of D, or None, each
+    filled where the walk reaches."""
     n, m = len(f), len(batch)
-    # breadth first from every centre at once: entry p is vertex node[p] % n
-    # of the walk from centre node[p] // n, and up[p] the entry of its parent
-    node = [k * n + x for k, (x, _nbrs) in enumerate(batch)]
-    up = list(range(m))
-    seen = [False] * (m * n)
-    for i in node:
-        seen[i] = True
+    # breadth first from every centre at once: entry p is vertex node[p] of
+    # the walk from centre own[p], and up[p] the entry of its parent; a
+    # forest has no cycle, so every neighbour but the parent is new
+    node = [x for x, _nbrs in batch]
+    own, up = list(range(m)), list(range(m))
     cuts = [0, m]
     while cuts[-1] > cuts[-2]:
         for p in range(cuts[-2], cuts[-1]):
-            k, v = divmod(node[p], n)
+            v, back, k = node[p], node[up[p]], own[p]
             for w in batch[k][1][v]:
-                if not seen[k * n + w]:
-                    seen[k * n + w] = True
-                    node.append(k * n + w)
+                if w != back:
+                    node.append(w)
+                    own.append(k)
                     up.append(p)
         cuts.append(len(node))
-    node_a, up_a = np.array(node), np.array(up)
-    v = node_a % n
+    v, up_a = np.array(node), np.array(up)
+    at = np.array(own) * n + v
     R = rows[v]
     for lo, hi in zip(cuts[1:], cuts[2:]):
         np.maximum(R[lo:hi], R[up_a[lo:hi]], out=R[lo:hi])
-    img = R[np.arange(m * n), f[v]]
+    img = R[np.arange(len(node)), f[v]]
     far = np.empty(m * n)
-    far[node_a] = img
+    far[at] = img
     if not witness:
         return far.reshape(m, n), None
     for lo, hi in zip(cuts[1:], cuts[2:]):
         np.maximum(img[lo:hi], img[up_a[lo:hi]], out=img[lo:hi])
     diam = np.empty(m * n)
-    diam[node_a] = img
+    diam[at] = img
     return far.reshape(m, n), diam.reshape(m, n)
-
-
-def _forest_path_diameters(vm: VertexMap, forest: list[tuple[int, int]],
-                           left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Image diameter of the forest path from each vertex of ``left`` to each
-    vertex of ``right``; the forest joins them all in one tree."""
-    f = vm.f.tolist()
-    nbrs: dict[int, list[int]] = {}
-    for u, v in forest:
-        nbrs.setdefault(u, []).append(v)
-        nbrs.setdefault(v, []).append(u)
-    root = int(left[0])
-    parent, depth = {root: root}, {root: 0}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for w in nbrs.get(v, ()):
-            if w not in parent:
-                parent[w], depth[w] = v, depth[v] + 1
-                stack.append(w)
-    imgs = []
-    for x in left.tolist():
-        for y in right.tolist():
-            u, v, img = x, y, {f[x], f[y]}
-            while u != v:  # climb to the common ancestor
-                if depth[u] >= depth[v]:
-                    u = parent[u]
-                    img.add(f[u])
-                else:
-                    v = parent[v]
-                    img.add(f[v])
-            imgs.append(img)
-    return _diameters(vm.target, imgs).reshape(len(left), len(right))
 
 
 def pullback_metric_bracket(vm: VertexMap) -> PullbackBracket:

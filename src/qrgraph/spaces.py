@@ -10,8 +10,10 @@ operation is a pure function.
 A path metric is computed on the first read of ``Space.dist`` and cached, so
 code that needs only edges and masses (the connecting-family modulus) never
 pays for the n x n matrix.  The cached matrix is read-only like an explicit
-one.  Concurrent first reads are safe: the fill is idempotent, so a thread
-that computes it again gets an equal array.
+one.  The adjacency lists ``adj`` are likewise built on their first read, so
+code that reads only the edge table never builds its 2m (neighbour, edge)
+tuples.  Concurrent first reads are safe: each fill is idempotent, so a
+thread that computes it again gets an equal value.
 
 The fill has two kernels.  Up to 128 vertices an all-sources Bellman-Ford in
 numpy relaxes every arc of every source at once, round after round, until a
@@ -74,22 +76,23 @@ class ValidationError(ValueError):
         self.findings = tuple(findings)
 
 
-class _PathMetricOnFirstRead:
-    """``Space.dist``: the explicit matrix, or the path metric computed on the
-    first read and stored as a plain instance attribute that later reads find
-    first.  Not ``functools.cached_property``: it writes through
-    ``instance.__dict__``, which on CPython 3.11 makes every later attribute
-    read on the instance about three times slower (measured with timeit)."""
+class _OnFirstRead:
+    """A derived attribute of ``Space``: ``fill(space)``, computed on the
+    first read and stored as a plain instance attribute of the fill's name
+    that later reads find first.  Not ``functools.cached_property``: it
+    writes through ``instance.__dict__``, which on CPython 3.11 makes every
+    later attribute read on the instance about three times slower (measured
+    with timeit)."""
+
+    def __init__(self, fill):
+        self.fill = fill
 
     def __get__(self, space: "Space | None", owner=None):
         if space is None:
             return self
-        d = space._dist
-        if d is None:
-            d = _apsp(space.n, list(space.edges))
-            d.setflags(write=False)
-        object.__setattr__(space, "dist", d)
-        return d
+        value = self.fill(space)
+        object.__setattr__(space, self.fill.__name__, value)
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +104,6 @@ class Space:
     edges: tuple[tuple[int, int, float], ...]  # (i, j, length), i < j
     _dist: np.ndarray | None              # (n, n) explicit metric; None = path metric
     index: Mapping[str, int] = field(init=False, repr=False)
-    adj: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
     _ends: np.ndarray = field(init=False, repr=False)  # (m, 2) endpoints of edges, read-only
     _lens: np.ndarray = field(init=False, repr=False)  # (m,) lengths of edges, read-only
 
@@ -117,16 +119,27 @@ class Space:
             raise ValidationError(["edges must be (i, j, len), 0 <= i < j < n, strictly ascending"])
         object.__setattr__(self, "_ends", ends)
         object.__setattr__(self, "_lens", table[2::3])
-        adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
-        for e, (i, j, _ln) in enumerate(self.edges):
-            adj[i].append((j, e))
-            adj[j].append((i, e))
-        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
         self.mass.setflags(write=False)
         if self._dist is not None:
             self._dist.setflags(write=False)
 
-    dist = _PathMetricOnFirstRead()       # (n, n) metric, read-only
+    @_OnFirstRead
+    def dist(self) -> np.ndarray:
+        """(n, n) metric, read-only: the explicit matrix or the path metric."""
+        d = self._dist
+        if d is None:
+            d = _apsp(self.n, list(self.edges))
+            d.setflags(write=False)
+        return d
+
+    @_OnFirstRead
+    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, its (neighbour, edge) pairs, neighbours ascending."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.ids]
+        for e, (i, j, _ln) in enumerate(self.edges):
+            adj[i].append((j, e))
+            adj[j].append((i, e))
+        return tuple(map(tuple, adj))
 
     @property
     def is_path_metric(self) -> bool:

@@ -18,12 +18,18 @@ from qrgraph.generators import (
     identity_map,
 )
 from qrgraph.pullback import (
-    _forest_path_diameters,
     _reachable_within,
     _target_pair_sweeps,
     enumerate_paths,
 )
-from qrgraph.spaces import Space, ValidationError, _components_idx, _is_number, _threshold_sweeps
+from qrgraph.spaces import (
+    Space,
+    ValidationError,
+    _components_idx,
+    _diameters,
+    _is_number,
+    _threshold_sweeps,
+)
 
 
 def edge_index_reference(space: Space) -> dict[tuple[int, int], int]:
@@ -298,6 +304,39 @@ def bracket_lower_reference(vm: VertexMap) -> np.ndarray:
             key = np.maximum(dY[vm.f, int(vm.f[i])], dY[vm.f, int(vm.f[j])])
             lower[i, j] = lower[j, i] = minimax_path_reference(vm.source, key, i, j)
     return lower
+
+
+def _forest_path_diameters(vm: VertexMap, forest: list[tuple[int, int]],
+                           left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Image diameter of the forest path from each vertex of ``left`` to each
+    vertex of ``right``; the forest joins them all in one tree."""
+    f = vm.f.tolist()
+    nbrs: dict[int, list[int]] = {}
+    for u, v in forest:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    root = int(left[0])
+    parent, depth = {root: root}, {root: 0}
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w in nbrs.get(v, ()):
+            if w not in parent:
+                parent[w], depth[w] = v, depth[v] + 1
+                stack.append(w)
+    imgs = []
+    for x in left.tolist():
+        for y in right.tolist():
+            u, v, img = x, y, {f[x], f[y]}
+            while u != v:  # climb to the common ancestor
+                if depth[u] >= depth[v]:
+                    u = parent[u]
+                    img.add(f[u])
+                else:
+                    v = parent[v]
+                    img.add(f[v])
+            imgs.append(img)
+    return _diameters(vm.target, imgs).reshape(len(left), len(right))
 
 
 def pair_sweep_reference(vm: VertexMap, witness: bool):

@@ -85,3 +85,35 @@ def test_every_dataclass_reads_the_init_fields_it_assigns():
                for path in sorted(package.glob("*.py"))
                for name, line, field in _overwritten_init_fields(path.read_text())]
     assert dropped == []
+
+
+def _uncalled_private_functions(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """Module-level private functions that no code in ``sources`` names
+    outside their own definition, by call or by reference: a helper that
+    only the tests use is a reference implementation, kept in ``tests/``."""
+    defined, named = [], set()
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((path, stmt.lineno, own))
+            named |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                      if isinstance(n, (ast.Name, ast.Attribute))} - {own}
+    return [(path, line, name) for path, line, name in defined if name not in named]
+
+
+def test_uncalled_private_function_is_found():
+    source = ("import m\n"
+              "def _called():\n    return 1\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "def _passed():\n    pass\n"
+              "def _through_module():\n    pass\n"
+              "def public():\n    return _called() + run(_passed) + m._through_module()\n")
+    assert _uncalled_private_functions({"m.py": source}) == [("m.py", 4, "_recursive")]
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    package = pathlib.Path(qrgraph.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    uncalled = [f"{path}:{line} {name}" for path, line, name in _uncalled_private_functions(sources)]
+    assert uncalled == []

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.csgraph
 
 from conftest import edge_index_reference, random_map, reference_family_oracle
@@ -91,6 +92,47 @@ def test_image_families_solve_as_one_row_per_round(seed):
 @pytest.mark.parametrize("lengths", [(1.0, 1e-17), (1e16, 1.0), (1e308, 1.0)])
 def test_vanishing_lengths_solve_as_one_row_per_round(lengths):
     _tied_sweep(700, 4, lengths)
+
+
+def _vanishes_at_zero(fam: CurveFamily) -> bool:
+    """Whether a length vanishes in the oracle's call at rho = 0: an edge
+    inside the carrier adds nothing to the least length from E of an end
+    that E reaches, as every edge does once that length is inf."""
+    space = fam.space
+    e_set, _f_set, carrier = fam.connect
+    inside = [(i, j, ln) for i, j, ln in space.edges if i in carrier and j in carrier]
+    if not inside:
+        return False
+    i, j, ln = (np.array(col) for col in zip(*inside))
+    u, w, step = np.r_[i, j], np.r_[j, i], np.r_[ln, ln]
+    graph = scipy.sparse.csr_matrix((step, (u, w)), shape=(space.n, space.n))
+    least = scipy.sparse.csgraph.dijkstra(graph, indices=sorted(e_set), min_only=True)
+    graph.data[:] = 1.0
+    reached = scipy.sparse.csgraph.dijkstra(graph, indices=sorted(e_set), min_only=True) < math.inf
+    return bool(np.any(reached[u] & (least[u] + step == least[u])))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("lengths", [(1.0, 1e-17), (1e16, 1.0), (1e308, 1.0)])
+def test_no_batch_after_a_call_where_a_length_vanishes(lengths):
+    # the batch rule's proof needs lengths that add, so after a call where
+    # one vanishes ``more`` admits nothing, whatever that call's tree holds;
+    # the spaces and families are those of the one-row-per-round sweep above
+    rng = np.random.default_rng(700)
+    calls = 0
+    for _ in range(4):
+        space = _tied_space(rng, int(rng.integers(6, 30)), lengths)
+        for fam in _families(rng, space):
+            oracle = _family_oracle(fam)
+            n_e = len(space.edges)
+            _value, row = oracle(np.zeros(n_e))
+            if row is None or not _vanishes_at_zero(fam):
+                continue
+            taken = np.zeros(n_e, dtype=bool)
+            taken[row[0]] = True
+            assert oracle.more(taken, 10, lambda r: np.ones(r[0].size)) == []
+            calls += 1
+    assert calls > 0
 
 
 @pytest.mark.slow

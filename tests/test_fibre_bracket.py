@@ -132,6 +132,16 @@ def test_lower_and_settled_pairs_match_the_pair_sweeps(name):
     check_against_pair_sweeps(MAPS[name]())
 
 
+@pytest.mark.parametrize("name", ["asymmetric_40_1", "asymmetric_40_2"])
+def test_pair_sweep_witness_reads_an_asymmetric_target_both_ways(name):
+    # on an asymmetric explicit target every target pair is swept, so each
+    # witness is a forest path's image diameter, which reads d_Y both ways
+    vm = MAPS[name]()
+    _lower, ref_ach = pair_sweep_reference(vm, witness=True)
+    _lower, achieved = _target_pair_sweeps(vm, witness=True)
+    assert achieved.tobytes() == ref_ach.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(name for name in MAPS
                                          if not name.startswith(("random_90", "winding_3"))))
 def test_exact_matches_the_reference_loop_over_the_pair_sweeps(name, monkeypatch):
