@@ -186,8 +186,8 @@ def cmd_measure(args):
 
 
 def _family_from_json(space, obj) -> CurveFamily:
-    """A connecting spec or a list of curves; a missing E or F and every
-    unknown vertex id are findings."""
+    """A connecting spec or a list of curves; a missing E or F, one that is
+    not a list, and every unknown vertex id are findings."""
     findings: list[str] = []
 
     def known(ids, where: str):
@@ -202,9 +202,8 @@ def _family_from_json(space, obj) -> CurveFamily:
         spec = obj["connect"]
         if not isinstance(spec, dict) or not {"E", "F"} <= set(spec):
             raise ValidationError(["connect family needs E and F"])
-        for key in ("E", "F", "within"):
-            if spec.get(key) is not None:
-                known(spec[key], key)
+        for key in ("E", "F") if spec.get("within") is None else ("E", "F", "within"):
+            known(spec[key], key)
         if findings:
             raise ValidationError(findings)
         return CurveFamily.connecting(space, spec["E"], spec["F"], spec.get("within"))

@@ -253,6 +253,15 @@ def normal_radius(vm: VertexMap, x: int | str) -> tuple[float, dict]:
 
     Returns (R, record).  If no radius passes, returns the smallest positive
     candidate radius flagged "degenerate".
+
+    Property (8) holds at every radius, bitwise, so it is recorded, not
+    tested.  Every centre over z = f(x) levels one key, k = d_Y(z, f .), so the
+    component of x at a cut c is {v : m(x, v) < c}, with m(x, v) the minimax
+    of k over paths from x to v.  Joining paths gives m(x, y) <= max(m(x, w),
+    m(w, y)), by max and comparisons alone.  So if the components of x at c
+    and of x' at c' >= c share a vertex w, every v of the first has
+    m(x', v) <= max(m(x', w), m(w, x), m(x, v)) < c': a component at a
+    smaller cut lies wholly inside or wholly outside each one at a larger cut.
     """
     return _fibre_radius(vm, int(vm.f[_idx(vm.source, x)]))[:2]
 
@@ -276,19 +285,10 @@ def _fibre_radius(vm: VertexMap, z: int) -> tuple[float, dict, list[int], np.nda
     p2 = (comps.sum(axis=1) == balls[:, vm.f]).all(axis=1)
     p3 = ((counts.sum(axis=1) == mult) | ~balls).all(axis=1)
     p4 = ((counts > 0) == balls[:, None]).all(axis=(1, 2))
-    # p8 at radius i: every component at a radius j <= i is nested in or
-    # disjoint from every component at radius i, that is, the levels for the
-    # centre of the latter do not straddle the cut at r_i on the former
-    crossing = np.zeros((len(radii), len(radii)), dtype=bool)  # (j, i)
-    for row in level:
-        lo = np.where(comps, row, np.inf).min(axis=2)[..., None]  # (j, component, 1)
-        hi = np.where(comps, row, -np.inf).max(axis=2)[..., None]
-        crossing |= ((lo < cut[:, 0]) & (hi >= cut[:, 0])).any(axis=1)
-    p8 = ~np.triu(crossing).any(axis=0)
-    passed = p2 & p3 & p4 & p8
+    passed = p2 & p3 & p4  # p8 always holds (see ``normal_radius``)
     n_pass = int(passed.argmin()) if not passed.all() else len(radii)
     i = max(n_pass - 1, 0)
-    rec = {"p2": bool(p2[i]), "p3": bool(p3[i]), "p4": bool(p4[i]), "p8": bool(p8[i])}
+    rec = {"p2": bool(p2[i]), "p3": bool(p3[i]), "p4": bool(p4[i]), "p8": True}
     if n_pass:
         # reported-only properties (1), (5), (6)/(7) at the selected radius;
         # (6) asks f to be injective on each multiplicity class of each

@@ -244,7 +244,8 @@ def _tree_arcs(d: np.ndarray, ln: np.ndarray, rank: np.ndarray, arc_u: np.ndarra
     (d, ln, key) of their tails gives every predecessor, and each
     predecessor pops before its vertex."""
     lu = ln[arc_u]
-    step = lu + arc_len
+    with np.errstate(over="ignore"):  # a sum past the float max is inf, as in the search
+        step = lu + arc_len
     vanished = bool(np.any((step == lu) & (np.minimum(d[arc_u], lu) < math.inf)))
     k = np.flatnonzero(tight & (step == ln[arc_w]))
     u, w = arc_u[k], arc_w[k]
@@ -858,12 +859,16 @@ def vaisala_certificate(vm: VertexMap, gamma: Sequence[Curve], gamma_prime: Sequ
     def precondition(reason: str) -> Certificate:
         return Certificate("vaisala", False, flags=("precondition",), details={"reason": reason})
 
+    if len(lifts) != len(gamma_prime):
+        return precondition(f"{len(lifts)} lift lists for {len(gamma_prime)} image curves")
     for j, lift_ids in enumerate(lifts):
         if len(lift_ids) != m:
             return precondition(f"curve {j} has {len(lift_ids)} lifts, expected {m}")
         gp = gamma_prime[j].vertices
         offsets = []  # (lift, offset in gp, its source edges)
         for li in lift_ids:
+            if not 0 <= li < len(gamma):
+                return precondition(f"lift index {li} not in range({len(gamma)})")
             img = tuple(int(vm.f[v]) for v in gamma[li].vertices)
             if any(a == b for a, b in zip(img, img[1:])):
                 return precondition(f"lift {li} collapses an edge")

@@ -61,6 +61,7 @@ means distance witness.  Only the remaining open pairs are searched.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -134,53 +135,41 @@ def _target_pair_sweeps(vm: VertexMap, witness: bool):
     pairs = sorted(set(zip(a[a <= b].tolist(), b[a <= b].tolist())))
     fiber = {a: np.nonzero(f == a)[0] for a in {a for pair in pairs for a in pair}}
     jobs = ((np.maximum(dY[f, a], dY[f, b]), fiber[a], fiber[b]) for a, b in pairs)
+
+    def centres():
+        for (a, b), (vals, forest) in zip(pairs, _threshold_sweeps(vm.source, jobs)):
+            fa, fb = fiber[a], fiber[b]
+            lower[fa[:, None], fb] = vals
+            lower[fb[:, None], fa] = vals.T
+            if witness:
+                nbrs = _adjacency(forest, n, keep={*fa.tolist(), *fb.tolist()})
+                yield from ((x, nbrs, fb) for x in fa.tolist())
+
     rows = np.maximum(dY, dY.T)[f]  # read both ways, as a diameter does
-    per_batch = max(1, _WALK_BUDGET // rows.size)
-    batch: list[tuple[int, list[list[int]]]] = []
-    placed: list[tuple[np.ndarray, np.ndarray, int]] = []  # (fa, fb, first centre in batch)
-
-    def flush():
-        _far, diam = _walk(rows, f, batch, True)
-        for fa, fb, k in placed:
-            v = np.minimum(achieved[fa[:, None], fb], diam[k:k + len(fa), fb])
-            achieved[fa[:, None], fb] = v
-            achieved[fb[:, None], fa] = v.T
-        batch.clear()
-        placed.clear()
-
-    for (a, b), (vals, forest) in zip(pairs, _threshold_sweeps(vm.source, jobs)):
-        fa, fb = fiber[a], fiber[b]
-        lower[fa[:, None], fb] = vals
-        lower[fb[:, None], fa] = vals.T
-        if witness:
-            placed.append((fa, fb, len(batch)))
-            nbrs = _stripped(forest, {*fa.tolist(), *fb.tolist()}, n)
-            batch.extend((x, nbrs) for x in fa.tolist())
-            if len(batch) >= per_batch:
-                flush()
-    if batch:
-        flush()
+    for batch, _far, diam in _walks(rows, f, centres(), witness):
+        for (x, _nbrs, fb), d in zip(batch, diam):
+            achieved[x, fb] = achieved[fb, x] = np.minimum(achieved[x, fb], d[fb])
     return lower, achieved
 
 
-def _stripped(forest: list[tuple[int, int]], keep: set[int], n: int) -> list[list[int]]:
-    """Adjacency lists of ``forest`` on range(n) after its leaves outside
-    ``keep`` are stripped, again and again: what is left of a tree that
-    holds ``keep`` is the union of the tree paths between its members."""
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+def _adjacency(forest: list[tuple[int, int]], n: int, keep: set[int] | None = None) -> list[list[int]]:
+    """Adjacency lists of ``forest`` on range(n).  With ``keep``, its leaves
+    outside ``keep`` are stripped, again and again: what is left of a tree
+    that holds ``keep`` is the union of the tree paths between its members."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in forest:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    leaves = [v for v in range(n) if len(nbrs[v]) == 1 and v not in keep]
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    leaves = [] if keep is None else [v for v in range(n) if len(nbrs[v]) == 1 and v not in keep]
     while leaves:
         v = leaves.pop()
         if nbrs[v]:  # the last two vertices of a tree outside keep strip each other
             (w,) = nbrs[v]
             nbrs[v].clear()
-            nbrs[w].discard(v)
+            nbrs[w].remove(v)
             if len(nbrs[w]) == 1 and w not in keep:
                 leaves.append(w)
-    return [list(nb) for nb in nbrs]
+    return nbrs
 
 
 def _fibre_certificate(vm: VertexMap, witness: bool):
@@ -191,31 +180,21 @@ def _fibre_certificate(vm: VertexMap, witness: bool):
     centre x's row of R[y, f y], the largest d_Y(f v, f y) over the forest
     path from x to y, certifies."""
     n, f = vm.source.n, vm.f
-    rows = vm.target.dist[f]  # d_Y(f v, .) for every source vertex v
     level, far = np.empty((n, n)), np.empty((n, n))
     diam = np.empty((n, n)) if witness else None
-    per_batch = max(1, _WALK_BUDGET // rows.size)
-    batch: list[tuple[int, list[list[int]]]] = []
 
-    def flush():
+    def centres():
+        for xs, vals, forest in _fibre_sweeps(vm, range(n)):
+            level[xs] = vals
+            nbrs = _adjacency(forest, n)
+            yield from ((x, nbrs) for x in xs)
+
+    rows = vm.target.dist[f]  # d_Y(f v, .) for every source vertex v
+    for batch, far_b, diam_b in _walks(rows, f, centres(), witness):
         xs = [x for x, _nbrs in batch]
-        far[xs], d = _walk(rows, f, batch, witness)
+        far[xs] = far_b
         if witness:
-            diam[xs] = d
-        batch.clear()
-
-    for xs, vals, forest in _fibre_sweeps(vm, range(n)):
-        level[xs] = vals
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in forest:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for x in xs:
-            batch.append((x, nbrs))
-            if len(batch) == per_batch:
-                flush()
-    if batch:
-        flush()
+            diam[xs] = diam_b
     screen = np.maximum(level, level.T)
     open_ = np.minimum(far, far.T) > screen
     achieved = None
@@ -231,9 +210,20 @@ def _fibre_certificate(vm: VertexMap, witness: bool):
     return screen, open_, achieved
 
 
-def _walk(rows: np.ndarray, f: np.ndarray, batch: list[tuple[int, list[list[int]]]], witness: bool):
-    """The walks from the centres x of ``batch``, each along its forest given
-    by adjacency lists: R[v] = max(R[parent v], rows[v]) and
+def _walks(rows: np.ndarray, f: np.ndarray, centres, witness: bool):
+    """``_walk`` over the (centre, adjacency lists, ...) tuples of
+    ``centres``, cut into batches that hold at most ``_WALK_BUDGET`` path
+    maxima, or one centre if it needs more: yields each batch with its rows
+    of R[y, f y] and of D (or None)."""
+    centres = iter(centres)
+    per_batch = max(1, _WALK_BUDGET // rows.size)
+    while batch := list(itertools.islice(centres, per_batch)):
+        yield batch, *_walk(rows, f, batch, witness)
+
+
+def _walk(rows: np.ndarray, f: np.ndarray, batch: list[tuple], witness: bool):
+    """The walks from the centres x of the (x, adjacency lists, ...) tuples
+    of ``batch``, each along its forest: R[v] = max(R[parent v], rows[v]) and
     D[v] = max(D[parent v], R[v, f v]), one numpy step per depth for all
     centres at once.  Returns the rows of R[y, f y] and of D, or None, each
     filled where the walk reaches."""
@@ -241,7 +231,7 @@ def _walk(rows: np.ndarray, f: np.ndarray, batch: list[tuple[int, list[list[int]
     # breadth first from every centre at once: entry p is vertex node[p] of
     # the walk from centre own[p], and up[p] the entry of its parent; a
     # forest has no cycle, so every neighbour but the parent is new
-    node = [x for x, _nbrs in batch]
+    node = [centre[0] for centre in batch]
     own, up = list(range(m)), list(range(m))
     cuts = [0, m]
     while cuts[-1] > cuts[-2]:

@@ -511,3 +511,25 @@ def test_float_option_out_of_range_is_refused_in_one_line(winding_dir, tmp_path,
     assert run([*argv, "--out", tmp_path / "o"]) == code
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["E", "F"])
+def test_modulus_null_end_set_is_validation_error(cover_dir, tmp_path, capsys, key):
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"connect": {"E": ["t0000"], "F": ["t0004"], key: None}}))
+    assert run(["modulus", "--space", cover_dir / "target.json", "--family", fam,
+                "--out", tmp_path / "mod"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"{key} must be a list of vertex ids" in err
+
+
+def test_modulus_null_within_is_the_whole_space(cover_dir, tmp_path):
+    fam = tmp_path / "fam.json"
+    values = []
+    for within in (None, [f"t{i:04d}" for i in range(8)]):
+        fam.write_text(json.dumps({"connect": {"E": ["t0000"], "F": ["t0004"], "within": within}}))
+        out = tmp_path / f"mod{len(values)}"
+        assert run(["modulus", "--space", cover_dir / "target.json", "--family", fam,
+                    "--out", out]) == 0
+        values.append(json.loads((out / "report.json").read_text())["results"]["value"])
+    assert values[0] == values[1] == pytest.approx(0.5)

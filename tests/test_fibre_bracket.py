@@ -6,7 +6,9 @@ bitwise, the one threshold sweep per target pair that ``pair_sweep_reference``
 keeps, every pair that reference's witness settles must stay settled at
 the same value, and the exact matrix must stay the one that witness gives.
 The per-fibre screen L'(x, y) = max(level_x(y), level_y(x)) brackets the
-pullback metric within a factor 2: L' <= lower <= exact <= 2 L'.
+pullback metric within a factor 2: L' <= lower <= exact <= 2 L'.  The
+sweep of a fibre nests its normal neighbourhoods: at any two radii, each
+component of the fibre lies inside or outside each one at the larger radius.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import pair_sweep_reference, random_map
+from conftest import pair_sweep_reference, random_map, u_component_reference
 from qrgraph import cli, pullback
 from qrgraph._tol import TOL
 from qrgraph.covering import VertexMap, _u_levels
@@ -216,3 +218,40 @@ def test_cli_lower_metric_on_winding_2_16_24(tmp_path, capsys):
     screen = _screen(vm)
     assert np.all(screen <= lower)
     assert np.all(lower <= 2.0 * screen + TOL)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_walk_batches_leave_the_pair_sweeps_bitwise(name, monkeypatch):
+    # a small budget cuts the centres of one fibre, or of one target pair,
+    # across batches of the forest walks
+    vm = MAPS[name]()
+    want = [_target_pair_sweeps(vm, witness) for witness in (True, False)]
+    for budget in (1, 37, 5000):
+        monkeypatch.setattr(pullback, "_WALK_BUDGET", budget)
+        got = [_target_pair_sweeps(vm, witness) for witness in (True, False)]
+        for (lower, achieved), (ref_lower, ref_achieved) in zip(got, want):
+            assert lower.tobytes() == ref_lower.tobytes()
+            assert (achieved is None and ref_achieved is None
+                    or achieved.tobytes() == ref_achieved.tobytes())
+
+
+NESTING_MAPS = {
+    **{f"random_{n}_{seed}": functools.partial(_random, n, seed)
+       for n in (12, 30) for seed in (3, 7, 9001)},
+    **{f"{kind}_{n}_{seed}": functools.partial(_explicit_target, n, seed, kind == "diagonal")
+       for kind in ("asymmetric", "diagonal") for n in (12, 30) for seed in (2, 5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NESTING_MAPS))
+def test_fibre_components_nest_or_are_disjoint_at_every_candidate_radius(name):
+    # property (8) at every candidate radius, not only at the normal radius
+    # that the record reports; a centre outside its own ball has no component
+    vm = NESTING_MAPS[name]()
+    for z in range(vm.target.n):
+        fibre = np.flatnonzero(vm.f == z).tolist()
+        by_radius = [[u_component_reference(vm, x, r) for x in fibre
+                      if vm.target.dist[z, z] < r - TOL] for r in vm.target.ball_radii(z)]
+        for j, smaller in enumerate(by_radius):
+            for larger in by_radius[j:]:
+                assert all(u <= w or u.isdisjoint(w) for u in smaller for w in larger)

@@ -547,6 +547,15 @@ class TestVaisala:
         cert = vaisala_certificate(vm, gamma, gamma_prime, [[0, 0]], m=2)
         assert not cert.passed and "precondition" in cert.flags
 
+    @pytest.mark.parametrize("lifts", [[], [[0, 1]], [[0, 1]] * 3, [[0, -1], [0, 1]],
+                                       [[0, 1], [1, 2]]])
+    def test_lift_lists_must_match_the_image_curves(self, lifts):
+        # one list of lifts per image curve, each lift an index into gamma:
+        # else a curve without lifts would pass, or a lift wrap around
+        vm, gamma, gamma_prime = self._cover_setup(6)
+        cert = vaisala_certificate(vm, gamma, gamma_prime * 2, lifts, m=2)
+        assert not cert.passed and "precondition" in cert.flags
+
 
 class TestAnalyticQr:
     def test_identity_unit_graph(self):
