@@ -25,7 +25,7 @@ import numpy as np
 from ._tol import TOL, le
 from .certificates import Certificate
 from .covering import VertexMap, _check_cap, _fibre_radius, _u_levels
-from .pullback import _worst_distortion, enumerate_paths
+from .pullback import _curve_sample, _worst_distortion
 from .spaces import Space, _diameters, _idx, _path_lengths, ball_closed
 
 __all__ = [
@@ -185,14 +185,10 @@ def _passed(worst: float, bound: float | None) -> bool:
 
 def _distortion_certificate(kind: str, vm: VertexMap, bound: float | None, curve_budget: int,
                             seed: int, n_random: int) -> Certificate:
-    if not curve_budget >= 1 or not n_random >= 0:  # an empty sample would certify any map
-        raise ValueError(f"{kind}: curve_budget must be >= 1 and n_random >= 0, "
-                         f"got {curve_budget} and {n_random}")
-    src = vm.source
-    paths = enumerate_paths(src, curve_budget, rng=np.random.default_rng(seed), n_random=n_random)
+    paths = _curve_sample(vm.source, curve_budget, seed, n_random)
     size = _path_lengths if kind == "bld" else _diameters
-    worst, path = _worst_distortion(size(src, paths), size(vm.target, paths, vm.f), paths)
-    witness = None if path is None else [src.ids[v] for v in path]
+    worst, path = _worst_distortion(size(vm.source, paths), size(vm.target, paths, vm.f), paths)
+    witness = None if path is None else [vm.source.ids[v] for v in path]
     return Certificate(kind, _passed(worst, bound), constant=worst, witness=witness,
                        details={"paths": len(paths), "bound": bound, "seed": seed})
 
@@ -200,14 +196,15 @@ def _distortion_certificate(kind: str, vm: VertexMap, bound: float | None, curve
 def bld_verify(vm: VertexMap, bound: float | None = None, curve_budget: int = 4,
                seed: int = 0, n_random: int = 100) -> Certificate:
     """Bounded length distortion over all simple paths up to the edge budget
-    plus a seeded random sample: L^-1 l(a) <= l(f∘a) <= L l(a)."""
+    plus a seeded random sample: L^-1 l(a) <= l(f∘a) <= L l(a).  The sample of
+    an int seed is drawn once per source space and shared with BDD."""
     return _distortion_certificate("bld", vm, bound, curve_budget, seed, n_random)
 
 
 def bdd_verify(vm: VertexMap, bound: float | None = None, curve_budget: int = 4,
                seed: int = 0, n_random: int = 100) -> Certificate:
-    """Bounded diameter distortion over the same curve sample; a path whose
-    source or image diameter is zero has infinite distortion."""
+    """Bounded diameter distortion over the curve sample BLD draws, shared per
+    source space and int seed; a zero source or image diameter is infinite distortion."""
     return _distortion_certificate("bdd", vm, bound, curve_budget, seed, n_random)
 
 

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 import numpy as np
 
@@ -398,10 +399,23 @@ def factorize(vm: VertexMap, metric: str = "exact", cap: int = EXACT_CAP_DEFAULT
     )
 
 
+def _budgets(*budgets) -> tuple[int, int]:
+    """The (max_edges, n_random) budgets of a curve sample as ints, >= 1 and >= 0."""
+    try:
+        max_edges, n_random = map(operator.index, budgets)
+    except TypeError:  # inf, nan, 2.5: not a count
+        max_edges = n_random = -1
+    if max_edges < 1 or n_random < 0:  # an empty sample would certify any map
+        raise ValueError("curve_budget must be >= 1 and n_random >= 0, got %s and %s" % budgets)
+    return max_edges, n_random
+
+
 def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | None = None,
                     n_random: int = 0) -> list[tuple[int, ...]]:
     """All simple paths with 1..max_edges edges, plus optional seeded random
-    simple walks of up to 8 edges; deterministic order."""
+    simple walks of up to 8 edges; deterministic order.  The BLD, BDD and
+    transfer checks draw it once per source space and int seed, and share it."""
+    max_edges, n_random = _budgets(max_edges, n_random)
     out: list[tuple[int, ...]] = []
     for start in range(space.n):
         stack: list[tuple[int, ...]] = [(start,)]
@@ -421,10 +435,20 @@ def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | Non
                 nbrs = [w for w, _e in space.adj[path[-1]] if w not in path]
                 if not nbrs:
                     break
-                path.append(int(nbrs[rng.integers(len(nbrs))]))
+                # integers(1) is 0 and consumes no bits, so skipping it leaves the stream as it was
+                path.append(nbrs[rng.integers(len(nbrs))] if len(nbrs) > 1 else nbrs[0])
             if len(path) > 1:
                 out.append(tuple(path))
     return out
+
+
+def _curve_sample(space: Space, budget: int, seed, n_random: int) -> tuple[tuple[int, ...], ...]:
+    """``enumerate_paths`` seeded by ``seed``, drawn once per space for an int seed."""
+    shared = isinstance(seed, (int, np.integer))  # a Generator has state; None is fresh entropy
+    samples, key = (space._samples, (*_budgets(budget, n_random), seed)) if shared else ({}, None)
+    if key not in samples:
+        samples[key] = tuple(enumerate_paths(space, budget, np.random.default_rng(seed), n_random))
+    return samples[key]
 
 
 def _worst_distortion(a: np.ndarray, b: np.ndarray, paths: list[tuple[int, ...]]):
@@ -506,7 +530,7 @@ def bld_bdd_transfer_check(fact: Factorization, seed: int = 0) -> Certificate:
     """Worst BLD and BDD ratios of f equal those of the lift g over the curve
     sample, every simple path of at most 4 edges plus 50 seeded random ones
     (exactly under the exact metric, within factor 2 under the bracket)."""
-    paths = enumerate_paths(fact.vm.source, 4, rng=np.random.default_rng(seed), n_random=50)
+    paths = _curve_sample(fact.vm.source, 4, seed, 50)
     exact = fact.metric_choice == "exact"
     # f and g share their source: its lengths and diameters are computed once
     sizes = [(size, size(fact.vm.source, paths)) for size in (_path_lengths, _diameters)]

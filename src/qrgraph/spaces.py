@@ -141,6 +141,10 @@ class Space:
             adj[j].append((i, e))
         return tuple(map(tuple, adj))
 
+    @_OnFirstRead
+    def _samples(self) -> dict:  # seeded curve samples, (budget, n_random, seed) -> paths
+        return {}
+
     @property
     def is_path_metric(self) -> bool:
         return self._dist is None
