@@ -18,6 +18,7 @@ distance: indices, d, d_Y of the images and the phi gap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,10 +26,11 @@ import numpy as np
 
 from ._tol import TOL
 from .certificates import Certificate
-from .covering import VertexMap, _u_levels, max_multiplicity
+from .covering import VertexMap, _fibre_sweeps, _u_levels, max_multiplicity
 from .dilatation import bdd_verify
+from .generators import identity_map
 from .pullback import EXACT_CAP_DEFAULT, pullback_metric_exact
-from .spaces import Space, ValidationError, _idx, _threshold_sweeps, _with_metric
+from .spaces import Space, ValidationError, _idx, _with_metric
 
 __all__ = [
     "EmbeddingPlan",
@@ -52,8 +54,7 @@ def _bt_space(space: Space, cap: int) -> Space:
     spaces are already 1-bounded-turning."""
     if space.is_path_metric:
         return space
-    ident = VertexMap(source=space, target=space, f=np.arange(space.n), check=False)
-    return _with_metric(space, pullback_metric_exact(ident, cap=cap))
+    return _with_metric(space, pullback_metric_exact(identity_map(space), cap=cap))
 
 
 def normalize_for_embedding(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> VertexMap:
@@ -69,16 +70,24 @@ def rk_radii(vm: VertexMap, k: int) -> tuple[dict[str, float], dict[str, list[fl
     """R^k(y): the smallest transition value R (on the d/5 grid of realized
     target distances from y) at which the preimage of the 5R-ball has at
     most k components.  Returns (radii, per-vertex transition grids).
+    Raises ValueError unless k is an integer >= 1.
 
     The preimage of the closed ball of radius d is {v : key[v] <= d + TOL}
     with key = d_Y(y, f(.)); its components number its size minus the edges
-    of weight <= d + TOL in the spanning forest of one threshold sweep."""
-    src, tgt = vm.source, vm.target
-    keys = [tgt.dist[y][vm.f] for y in range(tgt.n)]
-    sweeps = _threshold_sweeps(src, ((key, [0], range(src.n)) for key in keys))
+    of weight <= d + TOL in the spanning forest of y's fibre sweep (a sweep
+    that spans the source opens the same edges whatever its centres)."""
+    try:
+        counts = operator.index(k) >= 1
+    except TypeError:  # inf, nan, 2.5: not a count
+        counts = False
+    if not counts:  # k <= 0 would return the last grid value everywhere
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    tgt = vm.target
+    images, firsts = np.unique(vm.f, return_index=True)
     radii: dict[str, float] = {}
     grids: dict[str, list[float]] = {}
-    for y, key, (_vals, forest) in zip(range(tgt.n), keys, sweeps):
+    for y, (_ks, _vals, forest) in zip(images.tolist(), _fibre_sweeps(vm, firsts.tolist())):
+        key = tgt.dist[y][vm.f]
         dvals = [0.0] + [float(v) for v in np.unique(tgt.dist[y]) if v > TOL]
         grid = [d / 5.0 for d in dvals]
         grids[tgt.ids[y]] = grid

@@ -595,21 +595,20 @@ def bounded_turning_constant(space: Space) -> tuple[float, float]:
     """Bracket (lower, upper) for the bounded-turning constant.
 
     c = max over pairs of (min over connecting continua of diameter) / dist.
-    Uses the threshold sweep of the pullback bracket for the identity map
-    (the connecting-continuum infimum is threshold-connectivity in disguise),
-    one sweep per pair, so lower <= c <= upper = 2 * lower.  Path-metric
-    spaces return (1.0, 1.0).
+    The connecting-continuum infimum is the pullback metric of the identity
+    map, so lower reads the pullback bracket's lower matrix, and
+    lower <= c <= upper = 2 * lower.  Path-metric spaces return (1.0, 1.0).
     """
+    from .generators import identity_map
+    from .pullback import pullback_metric_bracket
+
     if not space._connected():
         raise ValidationError(["disconnected"])
     if space.is_path_metric or _equals_path_metric(space):
         return (1.0, 1.0)
-    d = space.dist
-    pairs = [(i, j) for i in range(space.n) for j in range(i + 1, space.n) if d[i, j] > TOL]
-    jobs = ((np.maximum(d[:, i], d[:, j]), [i], [j]) for i, j in pairs)
-    worst = 1.0
-    for (i, j), (vals, _forest) in zip(pairs, _threshold_sweeps(space, jobs)):
-        worst = max(worst, float(vals[0, 0]) / d[i, j])
+    iu = np.triu_indices(space.n, 1)
+    d, lower = space.dist[iu], pullback_metric_bracket(identity_map(space)).lower[iu]
+    worst = float((lower[d > TOL] / d[d > TOL]).max(initial=1.0))
     return (worst, 2.0 * worst)
 
 
@@ -628,6 +627,10 @@ def _threshold_sweeps(space: Space, jobs: Iterable[tuple[np.ndarray, Sequence[in
     left and right name the same vertex, and the forest edges (u, v) opened
     so far.  The forest path between two joined vertices is a minimax path:
     no forest edge outweighs the edge that joined them.
+
+    Two callers own it: ``covering._fibre_sweeps`` (one sweep per fibre,
+    spanning the source) and ``pullback._target_pair_sweeps`` (one sweep per
+    target pair that the fibre certificate leaves open).
     """
     eu, ev = space._ends.T
     eu_l, ev_l = eu.tolist(), ev.tolist()

@@ -247,3 +247,23 @@ class TestPhiAndEmbed:
         vm = VertexMap.build(src, tgt, {"a": "X", "b": "X", "c": "Y"})
         with pytest.raises(ValidationError):
             embed(vm)
+
+
+class TestRkRadiiRefusesNonCounts:
+    """k counts components, so it is an integer >= 1: at k <= 0 no ball
+    qualifies and every radius would fall back to the last grid value."""
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, math.inf, math.nan, None])
+    def test_rk_radii_refuses(self, w2_coarse, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            rk_radii(w2_coarse, k)
+
+    @pytest.mark.parametrize("k", [0, -1, 0.5])
+    def test_net_and_colors_inherit_the_check(self, w2_coarse, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            build_net(w2_coarse, k)
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            color_net(w2_coarse, k)
+
+    def test_integer_types_are_counts(self, w2_coarse):
+        assert rk_radii(w2_coarse, np.int64(1)) == rk_radii(w2_coarse, 1)
