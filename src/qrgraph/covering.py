@@ -132,16 +132,20 @@ def max_multiplicity(vm: VertexMap) -> int:
 def _fibre_sweeps(vm: VertexMap, xs: Sequence[int]):
     """One threshold sweep per image z of the centres ``xs``, in order of
     first appearance: yields the positions ks in ``xs`` of the centres over
-    z, their level rows and the sweep's spanning forest.  The forest path
+    z, their level rows and the sweep's spanning forest, a (k, 2) edge array.
+    A centre given twice is swept once and its row repeated.  The forest path
     from a centre to any vertex is a minimax path, so its level is the row's
     entry there."""
-    groups: dict[int, list[int]] = {}
+    groups: dict[int, dict[int, list[int]]] = {}  # image -> centre -> its positions
     for k, x in enumerate(xs):
-        groups.setdefault(int(vm.f[x]), []).append(k)
+        groups.setdefault(int(vm.f[x]), {}).setdefault(int(x), []).append(k)
     dY = vm.target.dist
-    jobs = ((dY[z, vm.f], [xs[k] for k in ks], range(vm.source.n)) for z, ks in groups.items())
-    for (z, ks), (vals, forest) in zip(groups.items(), _threshold_sweeps(vm.source, jobs)):
-        vals[np.arange(len(ks)), [xs[k] for k in ks]] = dY[z, z]
+    jobs = ((dY[z, vm.f], list(at), range(vm.source.n)) for z, at in groups.items())
+    for (z, at), (vals, forest) in zip(groups.items(), _threshold_sweeps(vm.source, jobs)):
+        vals[np.arange(len(at)), list(at)] = dY[z, z]
+        ks = [k for pos in at.values() for k in pos]
+        if len(ks) > len(at):
+            vals = np.repeat(vals, [len(pos) for pos in at.values()], axis=0)
         yield ks, vals, forest
 
 

@@ -82,16 +82,24 @@ def rk_radii(vm: VertexMap, k: int) -> tuple[dict[str, float], dict[str, list[fl
         counts = False
     if not counts:  # k <= 0 would return the last grid value everywhere
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    tgt = vm.target
     images, firsts = np.unique(vm.f, return_index=True)
+    forests = {y: forest for y, (_ks, _vals, forest)
+               in zip(images.tolist(), _fibre_sweeps(vm, firsts.tolist()))}
+    return _rk_radii(vm, k, forests)
+
+
+def _rk_radii(vm: VertexMap, k: int, forests: Mapping[int, np.ndarray]):
+    """``rk_radii`` from the spanning forest of each occupied target vertex's
+    fibre sweep, in ``forests`` by that vertex."""
+    tgt = vm.target
     radii: dict[str, float] = {}
     grids: dict[str, list[float]] = {}
-    for y, (_ks, _vals, forest) in zip(images.tolist(), _fibre_sweeps(vm, firsts.tolist())):
+    for y in np.unique(vm.f).tolist():
         key = tgt.dist[y][vm.f]
         dvals = [0.0] + [float(v) for v in np.unique(tgt.dist[y]) if v > TOL]
         grid = [d / 5.0 for d in dvals]
         grids[tgt.ids[y]] = grid
-        ends = np.array(forest, dtype=np.intp).reshape(-1, 2)
+        ends = forests[y]
         closed = np.array(dvals)[:, None] + TOL
         weight = np.maximum(key[ends[:, 0]], key[ends[:, 1]])
         count = (key <= closed).sum(axis=1) - (weight <= closed).sum(axis=1)
@@ -156,9 +164,15 @@ def assign_labels(vm: VertexMap, y_net: str, r_k: float) -> tuple[dict[str, int]
     inflated neighborhoods 2U coincide; component order by smallest member
     vertex id.  Returns (labels, distinct 2U sets in label order)."""
     fib = sorted(vm.fiber(y_net))
+    return _labels(vm, fib, _u_levels(vm, fib), r_k)
+
+
+def _labels(vm: VertexMap, fib: list[int], levels: np.ndarray,
+            r_k: float) -> tuple[dict[str, int], list[frozenset[int]]]:
+    """``assign_labels`` on the sorted fibre ``fib`` from its level rows."""
     sets: list[frozenset[int]] = []
     labels: dict[str, int] = {}
-    for x, level in zip(fib, _u_levels(vm, fib)):
+    for x, level in zip(fib, levels):
         u2 = frozenset(np.flatnonzero(level < 2.0 * r_k - TOL).tolist())
         try:
             lab = next(i for i, s in enumerate(sets) if s == u2) + 1
@@ -191,15 +205,22 @@ def build_plan(vm_norm: VertexMap) -> EmbeddingPlan:
     labels: dict[int, dict[str, dict[str, int]]] = {}
     nbhd: dict[int, dict[str, list[frozenset[int]]]] = {}
     c_d = 0
+    # one sweep per fibre serves every level k: its forest the radii, its rows the labels
+    n = vm_norm.source.n
+    level, forests = np.empty((n, n)), {}
+    for ks, vals, forest in _fibre_sweeps(vm_norm, range(n)):
+        level[ks] = vals
+        forests[int(vm_norm.f[ks[0]])] = forest
     for k in range(1, n_mult):
-        rk[k], grids[k] = rk_radii(vm_norm, k)
+        rk[k], grids[k] = _rk_radii(vm_norm, k, forests)
         nets[k] = build_net(vm_norm, k, rk[k])
         classes[k], used = color_net(vm_norm, k, nets[k], rk[k])
         c_d = max(c_d, used)
         labels[k] = {}
         nbhd[k] = {}
         for y in nets[k]:
-            labels[k][y], nbhd[k][y] = assign_labels(vm_norm, y, rk[k][y])
+            fib = sorted(vm_norm.fiber(y))
+            labels[k][y], nbhd[k][y] = _labels(vm_norm, fib, level[fib], rk[k][y])
     return EmbeddingPlan(vm=vm_norm, n_mult=n_mult, c_d=c_d, rk=rk, grids=grids,
                          nets=nets, classes=classes, labels=labels, neighborhoods=nbhd)
 

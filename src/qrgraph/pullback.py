@@ -64,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from ._tol import TOL
@@ -118,15 +118,20 @@ class PullbackBracket:
 _WALK_BUDGET = 1 << 16
 
 
-def _target_pair_sweeps(vm: VertexMap, witness: bool):
+def _target_pair_sweeps(vm: VertexMap, witness: bool, level_rows: list | None = None):
     """The bracket's lower matrix, from the fibre certificate and one
     threshold sweep per unordered pair (a, b) of occupied target vertices
     that it leaves open (see the module docstring).  With ``witness``, also
     an upper bound on the exact value of each pair: the least image diameter
-    of the forest paths that count for it, inf where none does; else None."""
+    of the forest paths that count for it, inf where none does; else None.
+    The fibre certificate appends its (n, n) level rows, ``_u_levels`` of
+    every source vertex, to ``level_rows`` if given; an asymmetric target
+    gets no certificate and appends nothing."""
     n, f, dY = vm.source.n, vm.f, vm.target.dist
     if vm.target.is_path_metric or np.array_equal(dY, dY.T):  # a path metric is symmetric
-        lower, open_, achieved = _fibre_certificate(vm, witness)
+        lower, open_, achieved, level = _fibre_certificate(vm, witness)
+        if level_rows is not None:
+            level_rows.append(level)
     else:
         # an explicit d_Y may be asymmetric within TOL; the fibre sweeps key
         # d_Y(a, f v) and the pair sweeps d_Y(f v, a), so every pair is swept
@@ -153,12 +158,13 @@ def _target_pair_sweeps(vm: VertexMap, witness: bool):
     return lower, achieved
 
 
-def _adjacency(forest: list[tuple[int, int]], n: int, keep: set[int] | None = None) -> list[list[int]]:
-    """Adjacency lists of ``forest`` on range(n).  With ``keep``, its leaves
-    outside ``keep`` are stripped, again and again: what is left of a tree
-    that holds ``keep`` is the union of the tree paths between its members."""
+def _adjacency(forest: np.ndarray, n: int, keep: set[int] | None = None) -> list[list[int]]:
+    """Adjacency lists of the (k, 2) edges of ``forest`` on range(n).  With
+    ``keep``, its leaves outside ``keep`` are stripped, again and again: what
+    is left of a tree that holds ``keep`` is the union of the tree paths
+    between its members."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in forest:
+    for u, v in zip(*forest.T.tolist()):
         nbrs[u].append(v)
         nbrs[v].append(u)
     leaves = [] if keep is None else [v for v in range(n) if len(nbrs[v]) == 1 and v not in keep]
@@ -176,8 +182,9 @@ def _adjacency(forest: list[tuple[int, int]], n: int, keep: set[int] | None = No
 def _fibre_certificate(vm: VertexMap, witness: bool):
     """From one threshold sweep per fibre on a symmetric d_Y: the screen L'
     with a zero diagonal, the mask of the entries it leaves open (uncertified
-    or, with ``witness``, not settled by their witness), and the witnesses
-    min(D(x, y), D(y, x)) where they count, inf elsewhere, or None.  Each
+    or, with ``witness``, not settled by their witness), the witnesses
+    min(D(x, y), D(y, x)) where they count, inf elsewhere, or None, and the
+    level rows of every source vertex, read-only.  Each
     centre x's row of R[y, f y], the largest d_Y(f v, f y) over the forest
     path from x to y, certifies."""
     n, f = vm.source.n, vm.f
@@ -208,7 +215,8 @@ def _fibre_certificate(vm: VertexMap, witness: bool):
         achieved = np.where(alone & ~open_, np.minimum(diam, diam.T), np.inf)
         open_ |= (screen > TOL) & (achieved > screen + TOL)
     np.fill_diagonal(screen, 0.0)
-    return screen, open_, achieved
+    level.setflags(write=False)
+    return screen, open_, achieved, level
 
 
 def _walks(rows: np.ndarray, f: np.ndarray, centres, witness: bool):
@@ -314,13 +322,19 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
     in [lower, achieved], deciding reachability at each candidate cap by a
     dominance-pruned search over one table of cap-balls per call.
     """
+    return _exact(vm, cap)
+
+
+def _exact(vm: VertexMap, cap: int, level_rows: list | None = None) -> np.ndarray:
+    """``pullback_metric_exact``; the fibre certificate's level rows go to
+    ``level_rows`` as in ``_target_pair_sweeps``."""
     n = vm.source.n
     if n > cap:
         raise ResourceCapExceeded(
             f"instance too large for the exact pullback solver ({n} > cap {cap}); "
             "use pullback_metric_bracket"
         )
-    lower, achieved = _target_pair_sweeps(vm, witness=True)
+    lower, achieved = _target_pair_sweeps(vm, witness=True, level_rows=level_rows)
     out = np.where(lower <= TOL, 0.0, achieved)
     rows, cols = np.nonzero(np.triu((lower > TOL) & (achieved > lower + TOL), 1))
     dY = vm.target.dist
@@ -371,6 +385,9 @@ class Factorization:
     projection: VertexMap  # pi : pullback_space -> target
     metric_choice: str    # "exact" | "lower"
     bracket: PullbackBracket
+    # the level rows of every source vertex under f, which pi shares (f's
+    # source graph, map and target), as the bracket swept them; None if it did not
+    _level: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def factorize(vm: VertexMap, metric: str = "exact", cap: int = EXACT_CAP_DEFAULT) -> Factorization:
@@ -383,20 +400,23 @@ def factorize(vm: VertexMap, metric: str = "exact", cap: int = EXACT_CAP_DEFAULT
         raise ValidationError(
             [f"f not discrete at graph level: zero pullback distance on {zp[:3]}"]
         )
+    level_rows: list[np.ndarray] = []
     if metric == "exact":
-        mat = pullback_metric_exact(vm, cap=cap)
+        mat = _exact(vm, cap, level_rows)
         bracket = PullbackBracket(lower=mat, upper=mat.copy(), exact=True)
     else:
-        bracket = pullback_metric_bracket(vm)
-        mat = bracket.lower
+        mat, _ = _target_pair_sweeps(vm, witness=False, level_rows=level_rows)
+        bracket = PullbackBracket(lower=mat, upper=2.0 * mat, exact=False)
     src = vm.source
     pb_space = _with_metric(src, mat, vm.target.mass[vm.f])
     lift = VertexMap(source=src, target=pb_space, f=np.arange(src.n), check=False)
     proj = VertexMap(source=pb_space, target=vm.target, f=vm.f.copy(), check=False)
-    return Factorization(
+    fact = Factorization(
         vm=vm, pullback_space=pb_space, lift=lift, projection=proj,
         metric_choice=metric, bracket=bracket,
     )
+    object.__setattr__(fact, "_level", level_rows[0] if level_rows else None)
+    return fact
 
 
 def _budgets(*budgets) -> tuple[int, int]:
@@ -490,7 +510,8 @@ def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:
     # (ii) inclusion chain for all z and candidate r
     lo_factor = 1.0 if exact else 0.5
     checked = 0
-    for z, level in enumerate(_u_levels(pi, range(pb.n))):
+    levels = _u_levels(pi, range(pb.n)) if fact._level is None else fact._level
+    for z, level in enumerate(levels):
         radii = np.array(sorted(set(pb.ball_radii(z)) | set(pi.target.ball_radii(int(pi.f[z])))))
         r = radii[:, None]
         u = level < r - TOL

@@ -23,6 +23,18 @@ matrices are equal bit for bit: the lengths are nonnegative and fl(a + w) is
 monotone in a, so both compute, for each pair, the least over paths of the
 sequential float sum of the path's lengths.
 
+The threshold sweeps (``_threshold_sweeps``) have two kernels too, and
+neither loads scipy.  A Kruskal sweep with union-find runs each job alone
+and stops once its pairs are joined: every pair sweep, and any small batch,
+runs it.  A batch of spanning sweeps (one per fibre of a map, over every
+source vertex) with at least 512 (job, edge) entries goes to a batched
+Borůvka, which finds every job's spanning forest in a few array rounds and
+reads the level rows off the forests by one breadth-first search from all
+centres at once.  They agree bit for bit: each edge is ranked by the stable
+order of its weight, so the spanning forest is unique and is the one
+Kruskal opens, and a value is always the weight of one forest edge, chosen
+by max and comparisons, never computed.
+
 Every per-edge kernel reads the edge table that ``Space`` builds once: the
 endpoints ``_ends`` (m, 2) and lengths ``_lens`` (m,), read-only, in the order
 of the tuple ``edges``, which stays for scalar reads.  ``Space`` checks that
@@ -42,7 +54,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -612,6 +624,14 @@ def bounded_turning_constant(space: Space) -> tuple[float, float]:
     return (worst, 2.0 * worst)
 
 
+# A batch of spanning sweeps with at least this many (job, edge) entries runs
+# the numpy kernel: whole-map fibre sweeps tie at about 512 on
+# gen_winding(2, 4, 8) and 288 on gen_winding(3, 6, 8).
+_NUMPY_SWEEP_MIN = 512
+# and a batch holds at most this many (job, edge) entries, or one job
+_SWEEP_BUDGET = 1 << 16
+
+
 def _threshold_sweeps(space: Space, jobs: Iterable[tuple[np.ndarray, Sequence[int], Sequence[int]]]):
     """For each (key, left, right) in ``jobs``, the minimax of ``key`` over
     graph paths from every vertex of ``left`` to every vertex of ``right``.
@@ -619,19 +639,41 @@ def _threshold_sweeps(space: Space, jobs: Iterable[tuple[np.ndarray, Sequence[in
     That minimax is the smallest threshold D at which the two vertices lie in
     one component of {v : key[v] <= D}.  One Kruskal sweep finds it for all
     pairs at once: edges open in ascending order of max(key[u], key[v]), ties
-    by edge index, and union-find joins their ends.  The weight of the edge
-    that first puts a left and a right vertex in one component is their
-    value.  The sweep stops once every pair is joined.
+    by edge index, and the weight of the edge that first puts a left and a
+    right vertex in one component is their value.
 
     Yields per job the (len(left), len(right)) matrix of values, zero where
-    left and right name the same vertex, and the forest edges (u, v) opened
-    so far.  The forest path between two joined vertices is a minimax path:
-    no forest edge outweighs the edge that joined them.
+    left and right name the same vertex, and the (k, 2) array of the forest
+    edges (u, v) in the order they opened.  The forest path between two
+    joined vertices is a minimax path: no forest edge outweighs the edge
+    that joined them.
+
+    The jobs run in batches of at most ``_SWEEP_BUDGET`` (job, edge) entries.
+    A batch of spanning jobs (a non-empty left, right = range(n)) with at
+    least ``_NUMPY_SWEEP_MIN`` entries goes to ``_boruvka_sweeps``; any other
+    batch, and so every pair sweep, to ``_union_find_sweeps``, which stops
+    once every pair is joined.  Both yield the same bytes.
 
     Two callers own it: ``covering._fibre_sweeps`` (one sweep per fibre,
     spanning the source) and ``pullback._target_pair_sweeps`` (one sweep per
     target pair that the fibre certificate leaves open).
     """
+    jobs = iter(jobs)
+    every = range(space.n)
+    per_batch = max(1, _SWEEP_BUDGET // max(1, len(space.edges)))
+    while batch := list(islice(jobs, per_batch)):
+        if (len(batch) * len(space.edges) >= _NUMPY_SWEEP_MIN
+                and all(len(left) and isinstance(right, range) and right == every
+                        for _key, left, right in batch)):
+            yield from _boruvka_sweeps(space, batch)
+        else:
+            yield from _union_find_sweeps(space, batch)
+
+
+def _union_find_sweeps(space: Space, jobs: Iterable[tuple[np.ndarray, Sequence[int], Sequence[int]]]):
+    """``_threshold_sweeps`` of each job by one Kruskal sweep: union-find
+    joins the ends of the edges in their opening order, and the sweep stops
+    once every left and right vertex are joined."""
     eu, ev = space._ends.T
     eu_l, ev_l = eu.tolist(), ev.tolist()
     for key, left, right in jobs:
@@ -673,7 +715,100 @@ def _threshold_sweeps(space: Space, jobs: Iterable[tuple[np.ndarray, Sequence[in
                 at_right[u] = ru + rv
         if todo:
             raise ValidationError(["disconnected"])
-        yield np.array(vals), forest
+        yield np.array(vals), np.array(forest, dtype=np.intp).reshape(-1, 2)
+
+
+def _boruvka_sweeps(space: Space, jobs: Sequence[tuple[np.ndarray, Sequence[int], Sequence[int]]]):
+    """``_threshold_sweeps`` of spanning jobs (right = range(n)), all at once.
+
+    Job j's graph is a copy of the source on the vertices j * n + v, and its
+    edge of rank r in the stable order of its weights gets the weight
+    j * m + r: the weights are distinct across the batch, so the minimum
+    spanning forest is unique, and it is the one Kruskal's sweep opens.
+    Borůvka finds it, and sorting its edges by weight gives their opening
+    order.  The value of a left vertex x and a vertex v is the weight of the
+    last edge opened on their tree path, found by a breadth-first search
+    from every x at once that carries the largest weight on the path; it is
+    read from the weights by index, so it is the sweep's value bitwise."""
+    n, count, (eu, ev) = space.n, len(jobs), space._ends.T
+    keys = np.array([key for key, _left, _right in jobs]).reshape(count, n)
+    w = np.maximum(keys[:, eu], keys[:, ev])
+    order = np.argsort(w, axis=1, kind="stable")
+    by_rank = np.append(np.take_along_axis(w, order, axis=1), 0.0)  # [-1]: a centre's own value
+    shift = np.arange(count)[:, None] * n
+    u, v = (eu[order] + shift).ravel(), (ev[order] + shift).ravel()  # the ends of each rank
+    tree = _boruvka(count * n, u, v)
+    if len(tree) < count * (n - 1):
+        raise ValidationError(["disconnected"])
+    starts = [j * n + int(x) for j, (_key, left, _right) in enumerate(jobs) for x in left]
+    vals = by_rank[_tree_path_max(u[tree], v[tree], tree, starts, n, count * n)]
+    forests = (np.stack([u[tree], v[tree]], axis=1) % n).reshape(count, n - 1, 2)
+    row = 0
+    for (_key, left, _right), forest in zip(jobs, forests):
+        row += len(left)
+        yield vals[row - len(left):row], forest
+
+
+def _boruvka(size: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The ascending weights of the minimum spanning forest's edges on
+    range(size), where the edge of weight r joins u[r] and v[r].  Each round,
+    every component takes its lightest edge out; of two components that
+    take the same edge, the one with the smaller label stays a root, and
+    labels jump to their roots as in ``Space._connected``."""
+    label = np.arange(size)
+    live = np.arange(len(u))
+    picked = []
+    while True:
+        lu, lv = label[u[live]], label[v[live]]
+        out = lu != lv
+        if not out.any():
+            break
+        live = live[out]
+        lightest = np.full(size, len(u))
+        np.minimum.at(lightest, lu[out], live)
+        np.minimum.at(lightest, lv[out], live)
+        comp = np.flatnonzero(lightest < len(u))
+        e = lightest[comp]
+        a, b = label[u[e]], label[v[e]]
+        other = np.where(a == comp, b, a)
+        parent = np.arange(size)
+        parent[comp] = other
+        mutual = parent[other] == comp
+        stays = mutual & (comp < other)
+        parent[comp[stays]] = comp[stays]
+        picked.append(e[stays | ~mutual])   # a mutual edge once
+        while (parent != (jump := parent[parent])).any():
+            parent = jump
+        label = parent[label]
+    return np.sort(np.concatenate(picked)) if picked else live[:0]
+
+
+def _tree_path_max(tu: np.ndarray, tv: np.ndarray, weight: np.ndarray,
+                   starts: Sequence[int], n: int, size: int) -> np.ndarray:
+    """Row k: for every vertex v of the n-vertex block of starts[k], the
+    largest ``weight`` on the forest path from starts[k] to v, -1 at
+    starts[k] itself.  The forest on range(size) joins tu[k] and tv[k] by
+    edge k.  The search runs from every start at once, one depth per step,
+    and a forest has no cycle, so every neighbour but the one it came from
+    is new."""
+    ends, nbr, wt = (np.concatenate(pair) for pair in ((tu, tv), (tv, tu), (weight, weight)))
+    by_end = np.argsort(ends, kind="stable")
+    nbr, wt = nbr[by_end], wt[by_end]
+    first = np.searchsorted(ends[by_end], np.arange(size + 1))
+    top = np.full(len(starts) * n, -1)
+    row = np.arange(len(starts))
+    at = np.array(starts, dtype=np.intp)
+    back = np.full(len(at), -1)
+    high = np.full(len(at), -1)
+    while len(at):
+        lo, deg = first[at], first[at + 1] - first[at]
+        step = np.repeat(lo - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+        new = nbr[step] != np.repeat(back, deg)
+        step = step[new]
+        row, back = np.repeat(row, deg)[new], np.repeat(at, deg)[new]
+        at, high = nbr[step], np.maximum(np.repeat(high, deg)[new], wt[step])
+        top[row * n + at % n] = high
+    return top.reshape(len(starts), n)
 
 
 # -- JSON schema --------------------------------------------------------------

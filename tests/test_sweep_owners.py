@@ -60,3 +60,46 @@ def test_only_two_functions_call_the_threshold_sweep():
     assert callers == OWNERS
     # no alias hides a third caller from the scan above
     assert imported == {"covering": {"_threshold_sweeps"}, "pullback": {"_threshold_sweeps"}}
+
+
+KERNELS = ("_union_find_sweeps", "_boruvka_sweeps")
+
+
+def _kernel_callers(module: str, source: str) -> set[tuple[str, str, str]]:
+    """(module, top-level function, kernel) for each call to a sweep kernel
+    of ``KERNELS``, by name or attribute, and each import of one; a call in a
+    nested function counts for the top-level definition around it."""
+    out = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            elif isinstance(node, ast.ImportFrom):
+                name = next((a.name for a in node.names if a.name in KERNELS), None)
+            else:
+                continue
+            if name in KERNELS:
+                out.add((module, getattr(top, "name", "<module>"), name))
+    return out
+
+
+def test_kernel_caller_scan_reads_nested_attribute_calls_and_imports():
+    source = ("def pick(space, jobs):\n"
+              "    def batches():\n"
+              "        yield from _boruvka_sweeps(space, jobs)\n"
+              "    return spaces._union_find_sweeps(space, jobs), batches\n"
+              "from .spaces import _boruvka_sweeps as fast\n"
+              "def other():\n"
+              "    return _threshold_sweeps(None, [])\n")
+    assert _kernel_callers("m", source) == {("m", "pick", "_boruvka_sweeps"),
+                                            ("m", "pick", "_union_find_sweeps"),
+                                            ("m", "<module>", "_boruvka_sweeps")}
+
+
+def test_only_the_threshold_sweep_calls_its_kernels():
+    # both kernels sit behind one selection, so the two owners above serve both
+    package = pathlib.Path(qrgraph.__file__).parent
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        callers |= _kernel_callers(path.stem, path.read_text())
+    assert callers == {("spaces", "_threshold_sweeps", kernel) for kernel in KERNELS}
