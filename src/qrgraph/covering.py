@@ -11,7 +11,9 @@ over source paths from x to v, of d_Y(f(x), f(.)), both ends included; then
 v lies in U(x, f, r) iff its level is < r - TOL, the same strict comparison
 with the same tolerance as the open ball B(f(x), r).  One threshold sweep per
 image f(x) gives the rows of every x over it, so a loop over radii compares
-one row against each radius and never searches the graph again.
+one row against each radius and never searches the graph again.  A
+whole-map pass (the radius table, the H and H* profiles, the branch set)
+takes the rows of every fibre from one batched ``_fibre_sweeps`` pass.
 """
 from __future__ import annotations
 
@@ -199,16 +201,13 @@ def _local_indices(vm: VertexMap, xs: Sequence[int]) -> np.ndarray:
     the candidate radii at f(x).  U grows with r, so the least is at the
     smallest radius."""
     xs = list(xs)
-    level = _u_levels(vm, xs)
-    images = vm.f[xs]
     out = np.empty(len(xs), dtype=int)
-    for z in np.unique(images).tolist():
-        ks = images == z
-        radii = vm.target.ball_radii(z)
+    for ks, level, _forest in _fibre_sweeps(vm, xs):
+        radii = vm.target.ball_radii(int(vm.f[xs[ks[0]]]))
         if not radii:  # single-vertex target
             out[ks] = max_multiplicity(vm)
             continue
-        out[ks] = _image_counts(vm, level[ks] < radii[0] - TOL).max(axis=1)
+        out[ks] = _image_counts(vm, level < radii[0] - TOL).max(axis=1)
     return out
 
 
@@ -267,45 +266,49 @@ def normal_radius(vm: VertexMap, x: int | str) -> tuple[float, dict]:
     m(x', v) <= max(m(x', w), m(w, x), m(x, v)) < c': a component at a
     smaller cut lies wholly inside or wholly outside each one at a larger cut.
     """
-    return _fibre_radius(vm, int(vm.f[_idx(vm.source, x)]))[:2]
+    return next(_fibre_radii(vm, [int(vm.f[_idx(vm.source, x)])]))[:2]
 
 
-def _fibre_radius(vm: VertexMap, z: int) -> tuple[float, dict, list[int], np.ndarray]:
-    """``normal_radius`` over the fibre of z, with the sorted fibre and its
-    level rows from the one sweep that the properties read."""
+def _fibre_radii(vm: VertexMap, zs: Iterable[int]):
+    """``normal_radius`` at each fibre over ``zs`` from one ``_fibre_sweeps``
+    pass, by least member: yields radius, record, sorted fibre, level rows."""
     tgt = vm.target
-    fib = sorted(vm.fiber(z))
-    seps = vm.source.dist[np.ix_(fib, fib)][np.triu_indices(len(fib), 1)]
-    m_z = float(seps.min(initial=np.inf)) / 6.0  # a sixth of the fibre's separation
-    radii = tgt.ball_radii(z)
-    level = _u_levels(vm, fib)
-    if not radii:
-        return TOL, {"degenerate": True, "M_z": m_z}, fib, level
-    cut = np.array(radii)[:, None] - TOL
-    comps = level[None] < cut[:, :, None]  # (radius, fiber, vertex)
-    balls = tgt.dist[z] < cut
-    counts = _image_counts(vm, comps)
+    members = np.flatnonzero(np.isin(vm.f, list(zs)))  # ascending, so each fibre comes sorted
     mult = np.bincount(vm.f, minlength=tgt.n)
-    p2 = (comps.sum(axis=1) == balls[:, vm.f]).all(axis=1)
-    p3 = ((counts.sum(axis=1) == mult) | ~balls).all(axis=1)
-    p4 = ((counts > 0) == balls[:, None]).all(axis=(1, 2))
-    passed = p2 & p3 & p4  # p8 always holds (see ``normal_radius``)
-    n_pass = int(passed.argmin()) if not passed.all() else len(radii)
-    i = max(n_pass - 1, 0)
-    rec = {"p2": bool(p2[i]), "p3": bool(p3[i]), "p4": bool(p4[i]), "p8": True}
-    if n_pass:
-        # reported-only properties (1), (5), (6)/(7) at the selected radius;
-        # (6) asks f to be injective on each multiplicity class of each
-        # component, and two points with one image share their class
-        p6 = bool((counts[i] <= 1).all())
-        rec.update({"p1": True, "p5": bool((mult[balls[i]] >= mult[z]).all()), "p6": p6, "p7": p6})
-    rec["degenerate"] = not n_pass
-    rec["M_z"] = m_z
-    return radii[i], rec, fib, level
+    for ks, level, _forest in _fibre_sweeps(vm, members):
+        fib = members[ks].tolist()
+        z = int(vm.f[fib[0]])
+        seps = vm.source.dist[np.ix_(fib, fib)][np.triu_indices(len(fib), 1)]
+        m_z = float(seps.min(initial=np.inf)) / 6.0  # a sixth of the fibre's separation
+        radii = tgt.ball_radii(z)
+        if not radii:
+            yield TOL, {"degenerate": True, "M_z": m_z}, fib, level
+            continue
+        cut = np.array(radii)[:, None] - TOL
+        comps = level[None] < cut[:, :, None]  # (radius, fiber, vertex)
+        balls = tgt.dist[z] < cut
+        counts = _image_counts(vm, comps)
+        p2 = (comps.sum(axis=1) == balls[:, vm.f]).all(axis=1)
+        p3 = ((counts.sum(axis=1) == mult) | ~balls).all(axis=1)
+        p4 = ((counts > 0) == balls[:, None]).all(axis=(1, 2))
+        passed = p2 & p3 & p4  # p8 always holds (see ``normal_radius``)
+        n_pass = int(passed.argmin()) if not passed.all() else len(radii)
+        i = max(n_pass - 1, 0)
+        rec = {"p2": bool(p2[i]), "p3": bool(p3[i]), "p4": bool(p4[i]), "p8": True}
+        if n_pass:
+            # reported-only properties (1), (5), (6)/(7) at the selected radius;
+            # (6) asks f to be injective on each multiplicity class of each
+            # component, and two points with one image share their class
+            p6 = bool((counts[i] <= 1).all())
+            rec.update({"p1": True, "p5": bool((mult[balls[i]] >= mult[z]).all()), "p6": p6, "p7": p6})
+        rec["degenerate"] = not n_pass
+        rec["M_z"] = m_z
+        yield radii[i], rec, fib, level
 
 
 def normal_radius_table(vm: VertexMap) -> NormalRadiusTable:
-    found = {zid: _fibre_radius(vm, z)[:2] for z, zid in enumerate(vm.target.ids)}
+    by_z = {int(vm.f[fib[0]]): (r, rec) for r, rec, fib, _level in _fibre_radii(vm, range(vm.target.n))}
+    found = {zid: by_z[z] for z, zid in enumerate(vm.target.ids)}  # records compare in id order
     return NormalRadiusTable(vm=vm, radius={zid: r for zid, (r, _rec) in found.items()},
                              record={zid: rec for zid, (_r, rec) in found.items()},
                              degenerate=frozenset(zid for zid, (_r, rec) in found.items()

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _check_cap, _fibre_radius, _u_levels
+from .covering import VertexMap, _check_cap, _fibre_radii, _u_levels
 from .pullback import _curve_sample, _worst_distortion
 from .spaces import Space, _diameters, _idx, _path_lengths, ball_closed
 
@@ -105,9 +105,8 @@ def _local_profiles(vm: VertexMap, xs: Iterable[int], cap: float | None,
     xs = [int(x) for x in xs]
     radius, level = {}, {}
     if cap is None or inverse:
-        for z in dict.fromkeys(vm.f[xs].tolist()):
-            nr, rec, fib, fib_level = _fibre_radius(vm, z)
-            radius[z] = nr, rec
+        for nr, rec, fib, fib_level in _fibre_radii(vm, vm.f[xs].tolist()):
+            radius[int(vm.f[fib[0]])] = nr, rec
             level.update(zip(fib, fib_level))
     else:
         level.update(zip(xs, _u_levels(vm, xs)))

@@ -11,7 +11,7 @@ import numpy as np
 
 from ._tol import TOL, le
 from .certificates import Certificate
-from .covering import VertexMap, _check_cap, _check_inside, _fibre_radius, _u_levels
+from .covering import VertexMap, _check_cap, _check_inside, _fibre_radii, _u_levels
 from .spaces import _idx, _vertex_array
 
 __all__ = [
@@ -167,7 +167,7 @@ def essential_index_profile(vm: VertexMap, x: int | str, nu=None,
     _check_cap("essential_index_profile", cap)
     xi = _idx(vm.source, x)
     if cap is None:  # x's level row comes with its fibre's normal radius
-        cap, _rec, fib, level = _fibre_radius(vm, int(vm.f[xi]))
+        cap, _rec, fib, level = next(_fibre_radii(vm, [int(vm.f[xi])]))
     else:
         fib, level = [xi], _u_levels(vm, [xi])
     radii = [r for r in vm.target.ball_radii(int(vm.f[xi])) if le(r, cap)]

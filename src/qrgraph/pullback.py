@@ -41,12 +41,11 @@ it in three steps.
 3. Pair sweeps, only where needed.  Each target pair (a, b) that still holds
    an uncertified entry, or for the exact solver an entry without a
    settling witness, gets one threshold sweep of k_ab over
-   fiber(a) x fiber(b).  Its values replace the screen there.  Its forest,
-   stripped of the leaves outside fiber(a) and fiber(b), gives a second
-   witness by the walk that fills D, on the rows max(d_Y(f v, .),
-   d_Y(., f v)): read both ways, like a diameter, so that it is each forest
-   path's image diameter bitwise even on an asymmetric explicit target.
-   The smaller witness is kept.
+   fiber(a) x fiber(b).  Its values replace the screen there.  Its forest
+   gives a second witness by the walk that fills D, on the rows
+   max(d_Y(f v, .), d_Y(., f v)): read both ways, like a diameter, so that
+   it is each forest path's image diameter bitwise even on an asymmetric
+   explicit target.  The smaller witness is kept.
 
 TOL convention: lower and L' are exact minimax values, so the screen and the
 certificate compare them bitwise.  The factor 2 rests on the triangle
@@ -148,7 +147,7 @@ def _target_pair_sweeps(vm: VertexMap, witness: bool, level_rows: list | None = 
             lower[fa[:, None], fb] = vals
             lower[fb[:, None], fa] = vals.T
             if witness:
-                nbrs = _adjacency(forest, n, keep={*fa.tolist(), *fb.tolist()})
+                nbrs = _adjacency(forest, n)
                 yield from ((x, nbrs, fb) for x in fa.tolist())
 
     rows = np.maximum(dY, dY.T)[f]  # read both ways, as a diameter does
@@ -158,24 +157,12 @@ def _target_pair_sweeps(vm: VertexMap, witness: bool, level_rows: list | None = 
     return lower, achieved
 
 
-def _adjacency(forest: np.ndarray, n: int, keep: set[int] | None = None) -> list[list[int]]:
-    """Adjacency lists of the (k, 2) edges of ``forest`` on range(n).  With
-    ``keep``, its leaves outside ``keep`` are stripped, again and again: what
-    is left of a tree that holds ``keep`` is the union of the tree paths
-    between its members."""
+def _adjacency(forest: np.ndarray, n: int) -> list[list[int]]:
+    """Adjacency lists of the (k, 2) edges of ``forest`` on range(n)."""
     nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in zip(*forest.T.tolist()):
         nbrs[u].append(v)
         nbrs[v].append(u)
-    leaves = [] if keep is None else [v for v in range(n) if len(nbrs[v]) == 1 and v not in keep]
-    while leaves:
-        v = leaves.pop()
-        if nbrs[v]:  # the last two vertices of a tree outside keep strip each other
-            (w,) = nbrs[v]
-            nbrs[v].clear()
-            nbrs[w].remove(v)
-            if len(nbrs[w]) == 1 and w not in keep:
-                leaves.append(w)
     return nbrs
 
 

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
@@ -451,8 +452,13 @@ def ball_closed(space: Space, center: str, r: float) -> frozenset[int]:
 
 
 def _idx(space: Space, v: int | str) -> int:
-    """Vertex index of an id or an index."""
-    return space.i(v) if isinstance(v, str) else int(v)
+    """Vertex index of an id or an int index.  Like an unknown id, an index
+    outside range(n) raises KeyError; a float is no index (TypeError)."""
+    if isinstance(v, str):
+        return space.i(v)
+    if not 0 <= (k := operator.index(v)) < space.n:
+        raise KeyError(f"unknown vertex index: {v}")
+    return k
 
 
 def _vertex_array(space: Space, values: Mapping[str, float] | np.ndarray | None) -> np.ndarray:

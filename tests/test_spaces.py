@@ -525,3 +525,40 @@ def test_adjacency_rows_list_neighbours_in_ascending_order(name):
         rows[i].append((j, e))
         rows[j].append((i, e))
     assert space.adj == tuple(tuple(sorted(r)) for r in rows)
+
+
+# -- vertex coercion ------------------------------------------------------------
+
+
+def _vertex_readers():
+    from qrgraph.covering import local_index, normal_radius
+    from qrgraph.dilatation import dilatation_profile, inverse_dilatation_profile
+    from qrgraph.measures import essential_index_profile
+
+    return [normal_radius, local_index, dilatation_profile, inverse_dilatation_profile,
+            essential_index_profile]
+
+
+@pytest.mark.parametrize("bad", [-1, -37, 37, 10**6])
+def test_an_index_outside_the_source_is_an_unknown_vertex(bad):
+    # a negative index must not wrap round to the end of the vertex list
+    vm = gen_winding(2, 3, 6)  # 37 source vertices
+    for read in _vertex_readers():
+        with pytest.raises(KeyError, match=f"unknown vertex index: {bad}"):
+            read(vm, bad)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0)])
+def test_a_float_is_not_a_vertex_index(bad):
+    vm = gen_winding(2, 3, 6)
+    for read in _vertex_readers():
+        with pytest.raises(TypeError):
+            read(vm, bad)
+
+
+def test_ints_of_any_kind_and_ids_name_the_same_vertex():
+    vm = gen_winding(2, 3, 6)
+    src = vm.source
+    assert {spaces._idx(src, v) for v in (5, np.int64(5), np.int32(5), src.ids[5])} == {5}
+    for read in _vertex_readers():
+        assert read(vm, np.int64(5)) == read(vm, 5) == read(vm, src.ids[5])

@@ -20,6 +20,7 @@ from qrgraph.covering import (
     max_multiplicity,
     normal_radius_table,
 )
+from qrgraph.dilatation import _local_profiles
 from qrgraph.embedding import rk_radii
 from qrgraph.generators import gen_cycle_cover, gen_winding
 from qrgraph.pullback import _target_pair_sweeps, pullback_metric_exact
@@ -149,7 +150,10 @@ def _whole_map_results(vm) -> list:
     lower, _ = _target_pair_sweeps(vm, witness=False)
     lower_w, achieved = _target_pair_sweeps(vm, witness=True)
     table = normal_radius_table(vm)
-    return [lower.tobytes(), lower_w.tobytes(), achieved.tobytes(),
+    caps = (None, max(table.radius.values()))  # the default cap, and one given
+    profiles = [repr(_local_profiles(vm, range(n), cap, inverse))
+                for cap in caps for inverse in (False, True)]
+    return [*profiles, lower.tobytes(), lower_w.tobytes(), achieved.tobytes(),
             pullback_metric_exact(vm).tobytes(),
             _u_levels(vm, range(n)).tobytes(),
             [forest.tolist() for _ks, _vals, forest in _fibre_sweeps(vm, range(n))],

@@ -2,13 +2,19 @@
 ``covering._fibre_sweeps`` (one sweep per fibre) and
 ``pullback._target_pair_sweeps`` (one sweep per open target pair) call
 ``spaces._threshold_sweeps``; every other whole-map pass reads one of them,
-so a faster sweep kernel has two call sites to serve."""
+so a faster sweep kernel has two call sites to serve.  At run time, each
+whole-map pass over the fibres opens one sweep for all of them."""
 from __future__ import annotations
 
 import ast
 import pathlib
 
+import pytest
+
 import qrgraph
+from qrgraph import covering, pullback, spaces
+from qrgraph.dilatation import _local_profiles
+from qrgraph.generators import gen_cycle_cover, gen_winding
 
 OWNERS = {("covering", "_fibre_sweeps"), ("pullback", "_target_pair_sweeps")}
 
@@ -103,3 +109,30 @@ def test_only_the_threshold_sweep_calls_its_kernels():
     for path in sorted(package.glob("*.py")):
         callers |= _kernel_callers(path.stem, path.read_text())
     assert callers == {("spaces", "_threshold_sweeps", kernel) for kernel in KERNELS}
+
+
+@pytest.mark.parametrize("make", [lambda: gen_winding(2, 4, 8), lambda: gen_cycle_cover(8, 3)],
+                         ids=["winding", "cycle_cover"])
+def test_each_whole_map_pass_opens_one_sweep(make, monkeypatch):
+    # a per-fibre loop would open one sweep per target vertex
+    vm = make()
+    every = range(vm.source.n)
+    opens = []
+    real = spaces._threshold_sweeps
+
+    def counting(space, jobs):
+        opens.append(space)
+        yield from real(space, jobs)
+
+    for module in (spaces, covering, pullback):
+        monkeypatch.setattr(module, "_threshold_sweeps", counting)
+    passes = {"normal_radius_table": lambda: covering.normal_radius_table(vm),
+              "branch_set": lambda: covering.branch_set(vm),
+              "H profiles": lambda: _local_profiles(vm, every, None, inverse=False),
+              "H* profiles": lambda: _local_profiles(vm, every, None, inverse=True)}
+    counts = {}
+    for name, run in passes.items():
+        opens.clear()
+        run()
+        counts[name] = len(opens)
+    assert counts == dict.fromkeys(passes, 1)
