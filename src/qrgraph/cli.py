@@ -236,8 +236,10 @@ def cmd_modulus(args):
 
 
 def cmd_verify(args):
-    vm = load_map(args.map)
     prop = args.property
+    if prop == "bqs" and args.constant is not None:
+        raise _UsageError("--constant: verify --property bqs reports a gauge, not a constant")
+    vm = load_map(args.map)
     if prop == "bld":
         cert = bld_verify(vm, bound=args.constant, seed=args.seed)
     elif prop == "bdd":

@@ -393,16 +393,21 @@ def greedy_cover(
     if bad:
         raise ValidationError([f"5r >= normal radius for ({x}, {r})" for x, r in bad])
     items = sorted(family, key=lambda it: (-it[1], it[0]))
-    units = [u_component(vm, x, r).members for x, r in items]
+    xs = [_idx(vm.source, x) for x, _r in items]
+    for xi, (_x, r) in zip(xs, items):
+        _check_inside("u_component", vm, xi, r)
+    # U(x, f, r) and its 5r inflation from one level row per item, as u_component reads them
+    level = _u_levels(vm, xs)
+    units = [frozenset(np.flatnonzero(row < r - TOL).tolist()) for row, (_x, r) in zip(level, items)]
     chosen: list[tuple[str, float]] = []
     chosen_sets: list[frozenset[int]] = []
     inflated_union: set[int] = set()
-    for (x, r), u in zip(items, units):
+    for (x, r), u, row in zip(items, units, level):
         if u <= inflated_union:
             continue
         chosen.append((x, r))
         chosen_sets.append(u)
-        inflated_union |= u_component(vm, x, 5.0 * r).members
+        inflated_union.update(np.flatnonzero(row < 5.0 * r - TOL).tolist())
     disjoint = all(
         a.isdisjoint(b) for i, a in enumerate(chosen_sets) for b in chosen_sets[i + 1:]
     )

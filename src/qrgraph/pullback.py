@@ -56,7 +56,13 @@ sweeps d_Y(f v, a), so on such a target every pair is swept.
 
 The exact solver settles every pair the bracket already decides in one array
 step: lower <= TOL means distance zero, and a witness within TOL of lower
-means distance witness.  Only the remaining open pairs are searched.
+means distance witness.  Only the remaining open pairs are searched: each
+binary-searches its candidate caps, and a probe of (i, j) at cap c reads
+bit j of one search from i over bitset states.  That search starts from
+K0 = B(f i, c) ∩ B(f j, c), as the per-pair search did, and does not stop at
+j, so it runs once per (i, f(j), c) and every pair with that key shares it;
+on an explicit target asymmetric within TOL, a key without f(j) would read
+another pair's K0.
 """
 from __future__ import annotations
 
@@ -72,6 +78,7 @@ from .covering import VertexMap, _fibre_sweeps, _u_levels
 from .spaces import (
     Space,
     ValidationError,
+    _Sample,
     _components_idx,
     _diameters,
     _geodesic,
@@ -262,42 +269,43 @@ def pullback_metric_bracket(vm: VertexMap) -> PullbackBracket:
     return PullbackBracket(lower=lower, upper=2.0 * lower, exact=False)
 
 
-def _reachable_within(vm: VertexMap, i: int, j: int, cap: float,
-                      nbhd: list[frozenset[int]]) -> bool:
-    """Is there a source path i -> j whose image has diameter <= cap?
+def _reached_within(graph: tuple[list, list], balls: list[int], i: int, k0: int) -> int:
+    """The source vertices that a path from i reaches with its image inside
+    K0 and inside the cap-ball of each of its image points, as a bitset.
 
-    DFS over states (vertex, K) where K is the set of target vertices still
-    compatible with every image point collected so far (an intersection of
-    cap-balls).  A state is dominated if the vertex was already reached with
-    a superset constraint set.
+    DFS over states (vertex, K) where K is the bitset of target vertices
+    still compatible with every image point collected so far (``k0`` and
+    the cap-ball ``balls[w]`` of each vertex w passed).  ``graph`` holds
+    each source vertex's neighbours and the bit of its image.  A state is
+    dominated if the vertex was already reached with a superset constraint
+    set.  Dominance drops only states that reach no further, so the reached
+    set does not depend on the search order, and bit j of it answers "is
+    there a path i -> j whose image has diameter <= cap?" for every j over
+    which K0 is the same.
     """
-    k0 = nbhd[int(vm.f[i])] & nbhd[int(vm.f[j])]
-    seen: dict[int, list[frozenset[int]]] = {i: [k0]}
-    stack: list[tuple[int, frozenset[int]]] = [(i, k0)]
-    src = vm.source
+    adj, fbit = graph
+    seen: dict[int, list[int]] = {i: [k0]}
+    stack: list[tuple[int, int]] = [(i, k0)]
     while stack:
         v, kset = stack.pop()
-        if v == j:
-            return True
-        for w, _e in src.adj[v]:
-            fw = int(vm.f[w])
-            if fw not in kset:
+        for w in adj[v]:
+            if not kset & fbit[w]:
                 continue
-            k2 = kset & nbhd[fw]
+            k2 = kset & balls[w]
             kept = []
-            dominated = False
-            for old in seen.get(w, []):
-                if k2 <= old:
-                    dominated = True
+            for old in seen.get(w, ()):
+                if k2 | old == old:
                     break
-                if not old <= k2:
+                if old | k2 != k2:
                     kept.append(old)
-            if dominated:
-                continue
-            kept.append(k2)
-            seen[w] = kept
-            stack.append((w, k2))
-    return False
+            else:
+                kept.append(k2)
+                seen[w] = kept
+                stack.append((w, k2))
+    reached = 0
+    for w in seen:
+        reached |= 1 << w
+    return reached
 
 
 def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.ndarray:
@@ -306,8 +314,9 @@ def pullback_metric_exact(vm: VertexMap, cap: int = EXACT_CAP_DEFAULT) -> np.nda
 
     Pairs the bracket sweep decides are settled in one array step (see the
     module docstring).  Each open pair binary-searches the target distances
-    in [lower, achieved], deciding reachability at each candidate cap by a
-    dominance-pruned search over one table of cap-balls per call.
+    in [lower, achieved].  The probe of pair (i, j) at a cap reads bit j of
+    one search from i, run once per (i, f(j), cap) over a table of cap-balls
+    as bitsets.
     """
     return _exact(vm, cap)
 
@@ -329,14 +338,22 @@ def _exact(vm: VertexMap, cap: int, level_rows: list | None = None) -> np.ndarra
     # an open pair's candidate caps are dvals[first..last]; its witness path reaches within the last
     first = np.searchsorted(dvals, lower[rows, cols] - TOL, side="left")
     last = np.searchsorted(dvals, achieved[rows, cols] + TOL, side="right") - 1
-    nbhd: dict[float, list[frozenset[int]]] = {}
+    f = vm.f.tolist()
+    graph = ([[w for w, _e in nbrs] for nbrs in vm.source.adj], [1 << y for y in f])
+    balls: dict[int, list[int]] = {}    # cap index -> the cap-ball of each source vertex's image
+    reached: dict[tuple[int, int, int], int] = {}  # (i, f(j), cap index) -> the search's bitset
     for i, j, lo_k, hi_k in zip(rows.tolist(), cols.tolist(), first.tolist(), last.tolist()):
         while lo_k < hi_k:
             mid = (lo_k + hi_k) // 2
-            c = float(dvals[mid])
-            if c not in nbhd:
-                nbhd[c] = [frozenset(np.nonzero(row)[0].tolist()) for row in dY <= c + TOL]
-            if _reachable_within(vm, i, j, c, nbhd[c]):
+            key = (i, f[j], mid)
+            if key not in reached:
+                if mid not in balls:
+                    bits = np.packbits(dY <= dvals[mid] + TOL, axis=1, bitorder="little")
+                    by_target = [int.from_bytes(row.tobytes(), "little") for row in bits]
+                    balls[mid] = [by_target[y] for y in f]
+                ball = balls[mid]
+                reached[key] = _reached_within(graph, ball, i, ball[i] & ball[j])
+            if reached[key] >> j & 1:
                 hi_k = mid
             else:
                 lo_k = mid + 1
@@ -421,19 +438,10 @@ def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | Non
                     n_random: int = 0) -> list[tuple[int, ...]]:
     """All simple paths with 1..max_edges edges, plus optional seeded random
     simple walks of up to 8 edges; deterministic order.  The BLD, BDD and
-    transfer checks draw it once per source space and int seed, and share it."""
+    transfer checks draw it once per source space and int seed, and share it;
+    its simple paths are enumerated once per space and budget."""
     max_edges, n_random = _budgets(max_edges, n_random)
-    out: list[tuple[int, ...]] = []
-    for start in range(space.n):
-        stack: list[tuple[int, ...]] = [(start,)]
-        while stack:
-            path = stack.pop()
-            if path[-1] > path[0]:
-                out.append(path)
-            if len(path) <= max_edges:
-                for w, _e in space.adj[path[-1]]:
-                    if w not in path:
-                        stack.append(path + (w,))
+    out = list(_simple_paths(space, max_edges))
     if rng is not None and n_random:
         for _ in range(n_random):
             v = int(rng.integers(space.n))
@@ -449,12 +457,36 @@ def enumerate_paths(space: Space, max_edges: int, rng: np.random.Generator | Non
     return out
 
 
-def _curve_sample(space: Space, budget: int, seed, n_random: int) -> tuple[tuple[int, ...], ...]:
-    """``enumerate_paths`` seeded by ``seed``, drawn once per space for an int seed."""
+def _simple_paths(space: Space, max_edges: int) -> _Sample:
+    """The simple paths of ``enumerate_paths``, enumerated once per space and
+    budget and kept as its sample of no walks: every seeded sample of the
+    budget starts with them, and a space with the same graph, such as the
+    pullback space, can read them too."""
+    max_edges = _budgets(max_edges, 0)[0]
+    key = (max_edges, 0, None)
+    if key not in space._samples:
+        out: list[tuple[int, ...]] = []
+        for start in range(space.n):
+            stack: list[tuple[int, ...]] = [(start,)]
+            while stack:
+                path = stack.pop()
+                if path[-1] > path[0]:
+                    out.append(path)
+                if len(path) <= max_edges:
+                    for w, _e in space.adj[path[-1]]:
+                        if w not in path:
+                            stack.append(path + (w,))
+        space._samples[key] = _Sample(out)
+    return space._samples[key]
+
+
+def _curve_sample(space: Space, budget: int, seed, n_random: int) -> _Sample:
+    """``enumerate_paths`` seeded by ``seed``, drawn once per space for an int
+    seed, with its size groups kept for the kernels that size it."""
     shared = isinstance(seed, (int, np.integer))  # a Generator has state; None is fresh entropy
     samples, key = (space._samples, (*_budgets(budget, n_random), seed)) if shared else ({}, None)
     if key not in samples:
-        samples[key] = tuple(enumerate_paths(space, budget, np.random.default_rng(seed), n_random))
+        samples[key] = _Sample(enumerate_paths(space, budget, np.random.default_rng(seed), n_random))
     return samples[key]
 
 
@@ -512,8 +544,8 @@ def verify_projection(fact: Factorization, path_budget: int = 4) -> Certificate:
                 witness = ("inclusion", pb.ids[z], float(radii[bad.argmax()]))
     details["inclusion_checks"] = checked
 
-    # (iii) diameter identity on enumerated paths
-    paths = enumerate_paths(pb, path_budget)
+    # (iii) diameter identity on enumerated paths: pb has the source's graph, so its paths
+    paths = _simple_paths(fact.vm.source, path_budget)
     da, di = _diameters(pb, paths), _diameters(pi.target, paths, pi.f)
     dev = np.abs(da - di)
     bad = dev > TOL if exact else ~((da <= di * 2.0 + TOL) & (di <= da + TOL))

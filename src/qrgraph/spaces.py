@@ -54,7 +54,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -155,7 +155,8 @@ class Space:
         return tuple(map(tuple, adj))
 
     @_OnFirstRead
-    def _samples(self) -> dict:  # seeded curve samples, (budget, n_random, seed) -> paths
+    def _samples(self) -> dict:
+        # curve samples, (budget, n_random, seed) -> _Sample; seed None: the simple paths alone
         return {}
 
     @property
@@ -513,6 +514,23 @@ def _size_groups(sets: Sequence[Iterable[int]]) -> list[tuple[list[int], np.ndar
              .reshape(len(ks), size)) for size, ks in groups.items()]
 
 
+class _Sample(tuple):
+    """A tuple of index collections that keeps its size groups: ``_size_groups``
+    runs once, on the first read, however many kernels size the sample."""
+
+    @cached_property
+    def groups(self) -> list[tuple[list[int], np.ndarray]]:
+        groups = _size_groups(self)
+        for _ks, idx in groups:
+            idx.setflags(write=False)
+        return groups
+
+
+def _groups(sets: Sequence[Iterable[int]]) -> list[tuple[list[int], np.ndarray]]:
+    """The size groups of ``sets``: kept by a ``_Sample``, else made now."""
+    return sets.groups if isinstance(sets, _Sample) else _size_groups(sets)
+
+
 def _diameters(space: Space, sets: Sequence[Iterable[int]],
                f: np.ndarray | None = None) -> np.ndarray:
     """Diameter of each non-empty index collection in ``sets`` or, given a
@@ -520,7 +538,7 @@ def _diameters(space: Space, sets: Sequence[Iterable[int]],
     equal-size collections.  The diagonal is read too: an explicit metric
     may have |d(v, v)| <= TOL."""
     out = np.empty(len(sets))
-    for ks, idx in _size_groups(sets):
+    for ks, idx in _groups(sets):
         idx = idx if f is None else f[idx]
         out[ks] = space.dist[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
     return out
@@ -533,7 +551,7 @@ def _path_lengths(space: Space, paths: Sequence[Sequence[int]],
     the distances between consecutive images; inf once the sum overflows."""
     out = np.empty(len(paths))
     with np.errstate(over="ignore"):
-        for ks, idx in _size_groups(paths):
+        for ks, idx in _groups(paths):
             a, b = idx[:, :-1], idx[:, 1:]
             steps = space._lens[_edge_ids(space, a, b)] if f is None else space.dist[f[a], f[b]]
             out[ks] = reduce(np.add, steps.T, np.zeros(len(ks)))

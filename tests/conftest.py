@@ -18,7 +18,6 @@ from qrgraph.generators import (
     identity_map,
 )
 from qrgraph.pullback import (
-    _reachable_within,
     _target_pair_sweeps,
     enumerate_paths,
 )
@@ -361,6 +360,44 @@ def pair_sweep_reference(vm: VertexMap, witness: bool):
             mat[fa[:, None], fb] = v
             mat[fb[:, None], fa] = v.T
     return lower, achieved
+
+
+def _reachable_within(vm: VertexMap, i: int, j: int, cap: float,
+                      nbhd: list[frozenset[int]]) -> bool:
+    """Is there a source path i -> j whose image has diameter <= cap?
+
+    DFS over states (vertex, K) where K is the set of target vertices still
+    compatible with every image point collected so far (an intersection of
+    cap-balls).  A state is dominated if the vertex was already reached with
+    a superset constraint set.
+    """
+    k0 = nbhd[int(vm.f[i])] & nbhd[int(vm.f[j])]
+    seen: dict[int, list[frozenset[int]]] = {i: [k0]}
+    stack: list[tuple[int, frozenset[int]]] = [(i, k0)]
+    src = vm.source
+    while stack:
+        v, kset = stack.pop()
+        if v == j:
+            return True
+        for w, _e in src.adj[v]:
+            fw = int(vm.f[w])
+            if fw not in kset:
+                continue
+            k2 = kset & nbhd[fw]
+            kept = []
+            dominated = False
+            for old in seen.get(w, []):
+                if k2 <= old:
+                    dominated = True
+                    break
+                if not old <= k2:
+                    kept.append(old)
+            if dominated:
+                continue
+            kept.append(k2)
+            seen[w] = kept
+            stack.append((w, k2))
+    return False
 
 
 def exact_reference(vm: VertexMap) -> np.ndarray:

@@ -533,3 +533,18 @@ def test_modulus_null_within_is_the_whole_space(cover_dir, tmp_path):
                     "--out", out]) == 0
         values.append(json.loads((out / "report.json").read_text())["results"]["value"])
     assert values[0] == values[1] == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("value", ["1.0", "inf"])
+def test_bqs_refuses_a_constant(winding_dir, tmp_path, capsys, value):
+    # the BQS certificate reports a gauge, not a constant, so --constant has
+    # nothing to bound; a pass with "constant": null would break the rule
+    # that a certificate passes only within its --constant
+    argv = ["verify", "--map", winding_dir / "map.json", "--property", "bqs"]
+    assert run([*argv, "--constant", value, "--out", tmp_path / "o"]) == 64
+    err = capsys.readouterr().err
+    assert "--constant" in err and "bqs" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    assert run([*argv, "--out", tmp_path / "plain"]) == 0
+    report = json.loads((tmp_path / "plain" / "report.json").read_text())
+    assert report["certificates"][0]["passed"] is True

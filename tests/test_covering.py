@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import random_map
+from conftest import random_map, u_component_reference
 from qrgraph.covering import (
     VertexMap,
     branch_set,
@@ -260,6 +260,45 @@ class TestGreedyCover:
             fam.append((x, r))
         chosen, report = greedy_cover(vm, fam, table)
         assert report["disjoint"] and report["covers_union"]
+
+
+def greedy_cover_reference(vm: VertexMap, family, table):
+    """The 5r greedy cover with one reference component per element and one
+    per chosen element's inflation: the loop ``greedy_cover`` ran before it
+    read every row from one sweep."""
+    items = sorted(family, key=lambda it: (-it[1], it[0]))
+    units = [u_component_reference(vm, vm.source.i(x), r) for x, r in items]
+    chosen, chosen_sets, inflated = [], [], set()
+    for (x, r), u in zip(items, units):
+        if u <= inflated:
+            continue
+        chosen.append((x, r))
+        chosen_sets.append(u)
+        inflated |= u_component_reference(vm, vm.source.i(x), 5.0 * r)
+    disjoint = all(a.isdisjoint(b) for i, a in enumerate(chosen_sets) for b in chosen_sets[i + 1:])
+    return chosen, {"disjoint": disjoint, "covers_union": set().union(*units) <= inflated,
+                    "chosen": list(chosen)}
+
+
+@pytest.mark.parametrize("make, step, scale", [
+    (lambda: gen_winding(2, 4, 8), 3, 6.0),
+    (lambda: gen_winding(2, 4, 8), 1, 5.5),
+    (lambda: gen_cycle_cover(8, 3), 2, 6.0),
+    *((lambda s=s: random_map(np.random.default_rng(s), 14, 4), 1, 5.5) for s in range(4)),
+])
+def test_greedy_cover_equals_the_per_element_reference(make, step, scale):
+    vm = make()
+    table = normal_radius_table(vm)
+    family = [(vm.source.ids[x], table.radius_at(x) / scale) for x in range(0, vm.source.n, step)]
+    assert greedy_cover(vm, family, table) == greedy_cover_reference(vm, family, table)
+
+
+def test_greedy_cover_refuses_a_centre_outside_its_own_ball():
+    vm = gen_winding(2, 4, 8)
+    table = normal_radius_table(vm)
+    with pytest.raises(ValueError, match="u_component: r001s004 lies outside"):
+        greedy_cover(vm, [("r002s008", table.radius_at("r002s008") / 6.0), ("r001s004", 0.0)],
+                     table)
 
 
 class TestRandomMaps:

@@ -136,3 +136,22 @@ def test_each_whole_map_pass_opens_one_sweep(make, monkeypatch):
         run()
         counts[name] = len(opens)
     assert counts == dict.fromkeys(passes, 1)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_winding(2, 4, 8), lambda: gen_cycle_cover(8, 3)],
+                         ids=["winding", "cycle_cover"])
+def test_greedy_cover_opens_one_sweep(make, monkeypatch):
+    # one sweep per family element and per inflation would open 2 per chosen element
+    vm = make()
+    table = covering.normal_radius_table(vm)
+    family = [(vm.source.ids[x], table.radius_at(x) / 6.0) for x in range(0, vm.source.n, 3)]
+    opens = []
+    real = spaces._threshold_sweeps
+
+    def counting(space, jobs):
+        opens.append(space)
+        yield from real(space, jobs)
+
+    monkeypatch.setattr(covering, "_threshold_sweeps", counting)
+    chosen, _report = covering.greedy_cover(vm, family, table)
+    assert chosen and len(opens) == 1
